@@ -7,7 +7,8 @@ round-robin so machine drift hits all of them equally:
 * **off** — a tracer attached with ``fraction=0.0`` and no inbound trace
   context: the per-request cost is one sampling decision;
 * **sampled** — every job traced (``fraction=1.0``): an ``engine`` span,
-  four synthesized ``stage.*`` children, and ring-buffer appends per job.
+  four ``stage.*`` children the pipeline opens while each stage runs, and
+  ring-buffer appends per job.
 
 The gate is on the p50 ratios, not absolute times:
 
@@ -26,6 +27,7 @@ import json
 import statistics
 import time
 
+from repro.obs.export import load_spans_jsonl, validate_trace
 from repro.obs.trace import Tracer
 from repro.service.engine import DiffEngine
 from repro.workload import MutationEngine, random_tree
@@ -86,10 +88,20 @@ def measure(pairs, repeats: int) -> dict:
             engine.close()
 
     p50 = {mode: statistics.median(ts) for mode, ts in samples.items()}
-    stats = engines["sampled"].tracer.stats()
+    tracer = engines["sampled"].tracer
+    stats = tracer.stats()
     jobs = repeats * len(pairs)
-    # Every sampled job must have produced its engine span + 4 stage spans.
-    spans_ok = stats["spans_recorded"] >= jobs * 5 and stats["spans_open"] == 0
+    traces = {}
+    for span in load_spans_jsonl(tracer.export_jsonl()):
+        traces.setdefault(span["trace"], []).append(span)
+    # Every sampled job must have produced its engine span + 4 stage spans,
+    # and every sampled trace must be a valid tree (stages nested in the
+    # engine span, never overlapping).
+    spans_ok = (
+        stats["spans_recorded"] >= jobs * 5
+        and stats["spans_open"] == 0
+        and all(validate_trace(spans) == [] for spans in traces.values())
+    )
     return {
         "benchmark": "bench_obs",
         "jobs_per_mode": jobs,

@@ -492,16 +492,9 @@ def _cmd_script(args) -> int:
             "cli.script", kind="client", trace_id=trace_id,
             meta={"old": os.path.basename(args.old), "new": os.path.basename(args.new)},
         )
-    result = pipeline.run(old, new)
+    result = pipeline.run(old, new, span=root)
     if root is not None:
         root.close()
-        if result.trace is not None:
-            from .obs.trace import synthesize_stage_spans
-
-            synthesize_stage_spans(
-                tracer, trace_id, root.span_id,
-                result.trace.stage_ms(), root.record.start,
-            )
     if not result.verify(old, new):  # pragma: no cover - guard
         print("internal error: script failed verification", file=sys.stderr)
         return 1

@@ -7,6 +7,14 @@ engine, pipeline stage) opens a span, annotates it, and closes it; the
 be queried (``GET /v1/trace/<id>``), exported as sorted-keys JSONL, or
 streamed to a callback (the simtest event log).
 
+:class:`SpanRecord` is the only span type.  The pipeline's ``stage.*``
+spans are opened by :meth:`repro.pipeline.DiffPipeline.run` as children
+of the caller's span while each stage runs, so their start times and
+durations are measured, not reconstructed.  A job computed in a
+``DiffEngine(executor="process")`` child has no tracer there: its
+``engine`` span carries the child's per-stage times as ``stage_ms`` in
+its meta instead of stage children.
+
 Everything is driven by an injectable :class:`repro.simtest.clock.Clock`
 and an injectable ``random.Random`` so simulation scenarios produce
 byte-identical trace trees per seed.
@@ -24,7 +32,6 @@ from repro.obs.trace import (
     inject_trace_headers,
     is_valid_span_id,
     is_valid_trace_id,
-    synthesize_stage_spans,
 )
 from repro.obs.export import (
     build_span_tree,
@@ -52,6 +59,5 @@ __all__ = [
     "merge_spans",
     "render_span_tree",
     "spans_to_jsonl",
-    "synthesize_stage_spans",
     "validate_trace",
 ]

@@ -25,6 +25,7 @@ from math import floor
 from random import Random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro._compat import DATACLASS_SLOTS
 from repro.simtest.clock import Clock, SYSTEM_CLOCK
 
 TRACE_ID_HEADER = "X-Trace-Id"
@@ -84,7 +85,7 @@ def inject_trace_headers(
     return headers
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class SpanRecord:
     """One timed operation inside a trace."""
 
@@ -236,36 +237,6 @@ class Tracer:
             self._open[record.span_id] = record
         return Span(self, record)
 
-    def record_closed(
-        self,
-        name: str,
-        kind: str,
-        trace_id: str,
-        parent_id: Optional[str],
-        start: float,
-        end: float,
-        status: str = "ok",
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> SpanRecord:
-        """Record an already-timed span (used for synthesized stage spans)."""
-        with self._lock:
-            self._seq += 1
-            record = SpanRecord(
-                trace_id=trace_id,
-                span_id=f"{self.rng.getrandbits(32):08x}",
-                parent_id=parent_id,
-                name=name,
-                kind=kind,
-                start=start,
-                seq=self._seq,
-                end=end,
-                status=status,
-                meta=dict(meta) if meta else {},
-            )
-            self._append(record)
-        self._notify(record)
-        return record
-
     def _close(self, record: SpanRecord, status: str) -> None:
         with self._lock:
             if record.closed:
@@ -330,35 +301,3 @@ class Tracer:
             for r in records
         )
 
-
-def synthesize_stage_spans(
-    tracer: Tracer,
-    trace_id: str,
-    parent_id: Optional[str],
-    stage_ms: Mapping[str, float],
-    start: float,
-    meta: Optional[Dict[str, Any]] = None,
-) -> List[SpanRecord]:
-    """Lay the pipeline's per-stage timings out as child spans of *parent_id*.
-
-    The pipeline's :class:`repro.pipeline.Trace` only knows durations, so
-    stages are placed back to back from *start* in execution order; the
-    sum of the children can never exceed the enclosing span.
-    """
-    records = []
-    cursor = start
-    for stage, ms in stage_ms.items():
-        duration = max(0.0, float(ms)) / 1000.0
-        records.append(
-            tracer.record_closed(
-                f"stage.{stage}",
-                "stage",
-                trace_id,
-                parent_id,
-                cursor,
-                cursor + duration,
-                meta=meta,
-            )
-        )
-        cursor += duration
-    return records

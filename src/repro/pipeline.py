@@ -9,11 +9,14 @@ named stages:
     ``index → match → postprocess → editscript → deltatree``
 
 configured by one :class:`DiffConfig` and instrumented by one
-:class:`Trace` per run: per-stage wall time, the §8 comparison counters
-(``r1``/``r2``), node counts, and index-cache hits, recorded through a
-lightweight span API that external sinks (e.g.
-:meth:`repro.service.metrics.ServiceMetrics.stage_listener`) can subscribe
-to.
+:class:`Trace` per run: one ``stage.<name>`` span per stage
+(:class:`repro.obs.trace.SpanRecord`, the only span type in the
+repository) carrying that stage's §8 counters (``r1``/``r2``, LCS calls,
+repairs, operations), plus run-wide counters for node counts and
+index-cache hits. Pass the caller's open :class:`repro.obs.trace.Span` as
+``run(..., span=)`` and every stage is opened as its child on that
+tracer's clock while the stage runs; the engine and the CLI do exactly
+that, so a trace shows where each stage really started.
 
 Every entry point in the repository — :func:`repro.diff.tree_diff`, the
 CLI, :class:`repro.service.DiffEngine`, :class:`repro.store.VersionStore`,
@@ -28,18 +31,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
-from ._compat import DATACLASS_SLOTS
 from .core.errors import ConfigError
 from .core.index import TreeIndex, cached_index
 from .core.tree import Tree
@@ -52,12 +45,16 @@ from .matching.matching import Matching
 from .matching.postprocess import postprocess_matching
 from .matching.schema import LabelSchema
 from .matching.simple import match as simple_match
+from .obs.trace import Span, SpanRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .deltatree.builder import DeltaTree
 
 #: Stage names, in execution order.
 STAGES = ("index", "match", "postprocess", "editscript", "deltatree")
+
+#: Each stage is recorded as a span named ``stage.<name>`` of this kind.
+STAGE_KIND = "stage"
 
 #: Recognized matcher choices.
 ALGORITHMS = ("fast", "simple")
@@ -133,21 +130,17 @@ class DiffConfig:
 # ---------------------------------------------------------------------------
 # Tracing
 # ---------------------------------------------------------------------------
-@dataclass(**DATACLASS_SLOTS)
-class Span:
-    """One completed pipeline stage: name, wall time, and annotations."""
-
-    name: str
-    wall_ms: float = 0.0
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-
-#: A span listener: called with each span as it closes.
-SpanListener = Callable[[Span], None]
-
-
 class Trace:
-    """Per-run instrumentation: spans per stage plus scalar counters.
+    """Per-run instrumentation: one span per stage plus scalar counters.
+
+    Each stage is a :class:`~repro.obs.trace.SpanRecord` named
+    ``stage.<name>`` (kind ``"stage"``). Given the caller's open
+    :class:`~repro.obs.trace.Span`, a stage is opened as its child while
+    the stage runs, on that tracer's clock, and lands in the tracer's
+    buffer. Without one the records are kept here only, timed with
+    ``time.perf_counter``, without minting ids or taking the tracer lock.
+    :meth:`stage_ms`, :meth:`total_ms`, :meth:`to_dict` and :meth:`render`
+    are views over the same records either way.
 
     Counters always present after a run: ``nodes_t1`` / ``nodes_t2``,
     ``leaf_compares`` (the paper's ``r1``), ``partner_checks`` (``r2``),
@@ -155,32 +148,42 @@ class Trace:
     ``index_cache_hits``.
     """
 
-    __slots__ = ("spans", "counters", "_listeners")
+    __slots__ = ("spans", "counters", "_parent")
 
-    def __init__(self, listeners: Tuple[SpanListener, ...] = ()) -> None:
-        self.spans: List[Span] = []
+    def __init__(self, parent: Optional[Span] = None) -> None:
+        self.spans: List[SpanRecord] = []
         self.counters: Dict[str, int] = {}
-        self._listeners = tuple(listeners)
+        self._parent = parent
 
     @contextmanager
-    def span(self, name: str) -> Iterator[Span]:
-        """Record one named stage; notifies subscribers when it closes."""
-        span = Span(name)
-        start = time.perf_counter()
+    def span(self, name: str) -> Iterator[SpanRecord]:
+        """Record stage *name* as a ``stage.<name>`` span while it runs."""
+        if self._parent is not None:
+            with self._parent.child(f"stage.{name}", kind=STAGE_KIND) as handle:
+                self.spans.append(handle.record)
+                yield handle.record
+            return
+        record = SpanRecord(
+            trace_id="",
+            span_id="",
+            parent_id=None,
+            name=f"stage.{name}",
+            kind=STAGE_KIND,
+            start=time.perf_counter(),
+            seq=len(self.spans),
+        )
+        self.spans.append(record)
         try:
-            yield span
+            yield record
         finally:
-            span.wall_ms = (time.perf_counter() - start) * 1000.0
-            self.spans.append(span)
-            for listener in self._listeners:
-                listener(span)
+            record.end = time.perf_counter()
 
     def incr(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
 
     def stage_ms(self) -> Dict[str, float]:
         """Wall milliseconds per stage, in execution order."""
-        return {span.name: span.wall_ms for span in self.spans}
+        return {_stage_name(span): span.wall_ms for span in self.spans}
 
     def total_ms(self) -> float:
         return sum(span.wall_ms for span in self.spans)
@@ -189,7 +192,7 @@ class Trace:
         """JSON-friendly export (used by ``repro-diff batch --json``)."""
         return {
             "stages": [
-                {"name": s.name, "wall_ms": round(s.wall_ms, 3), **s.meta}
+                {"name": _stage_name(s), "wall_ms": round(s.wall_ms, 3), **s.meta}
                 for s in self.spans
             ],
             "counters": dict(self.counters),
@@ -200,11 +203,25 @@ class Trace:
         lines = ["-- trace --"]
         for span in self.spans:
             extra = "".join(f" {k}={v}" for k, v in sorted(span.meta.items()))
-            lines.append(f"{span.name + ':':<14}{span.wall_ms:9.3f} ms{extra}")
+            name = _stage_name(span) + ":"
+            lines.append(f"{name:<14}{span.wall_ms:9.3f} ms{extra}")
         lines.append(f"{'total:':<14}{self.total_ms():9.3f} ms")
         for name in sorted(self.counters):
             lines.append(f"{name + ':':<22}{self.counters[name]}")
         return "\n".join(lines)
+
+
+def _stage_name(span: SpanRecord) -> str:
+    return span.name[len("stage."):]
+
+
+def _match_counts(stats: MatchingStats) -> Dict[str, int]:
+    """The §8 counters a matching stage charges, as span annotations."""
+    return {
+        "leaf_compares": stats.leaf_compares,
+        "partner_checks": stats.partner_checks,
+        "lcs_calls": stats.lcs_calls,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +284,10 @@ class DiffPipeline:
     ----------
     config:
         The :class:`DiffConfig`; defaults throughout when omitted.
-    listeners:
-        Span subscribers notified as each stage closes (e.g.
-        ``ServiceMetrics.stage_listener()``).
     """
 
-    def __init__(
-        self,
-        config: Optional[DiffConfig] = None,
-        listeners: Tuple[SpanListener, ...] = (),
-    ) -> None:
+    def __init__(self, config: Optional[DiffConfig] = None) -> None:
         self.config = config if config is not None else DiffConfig()
-        self._listeners: Tuple[SpanListener, ...] = tuple(listeners)
-
-    def subscribe(self, listener: SpanListener) -> None:
-        """Add a span listener for all subsequent runs."""
-        self._listeners = self._listeners + (listener,)
 
     # ------------------------------------------------------------------
     def run(
@@ -290,23 +295,24 @@ class DiffPipeline:
         t1: Tree,
         t2: Tree,
         matching: Optional[Matching] = None,
+        span: Optional[Span] = None,
     ) -> DiffResult:
         """Diff *t1* against *t2*; neither tree is mutated.
 
         A precomputed *matching* (e.g. from keys) skips the ``match`` and
         ``postprocess`` stages entirely, exactly as the legacy
-        ``tree_diff(matching=...)`` did.
+        ``tree_diff(matching=...)`` did. An open *span* (the engine's or a
+        CLI command's) becomes the parent of every ``stage.*`` span.
         """
         config = self.config
-        trace = Trace(self._listeners)
+        trace = Trace(span)
         stats = MatchingStats()
         repairs = 0
 
-        with trace.span("index") as span:
+        with trace.span("index") as stage:
             index1 = self._index_for(t1, trace)
             index2 = self._index_for(t2, trace)
-            span.meta["nodes_t1"] = len(t1)
-            span.meta["nodes_t2"] = len(t2)
+            stage.meta.update(nodes_t1=len(t1), nodes_t2=len(t2))
         trace.counters.setdefault("index_cache_hits", 0)
         trace.counters["nodes_t1"] = len(t1)
         trace.counters["nodes_t2"] = len(t2)
@@ -315,7 +321,7 @@ class DiffPipeline:
             t1, t2, config.match, stats, index1=index1, index2=index2
         )
         if matching is None:
-            with trace.span("match") as span:
+            with trace.span("match") as stage:
                 if config.algorithm == "fast":
                     matching = fast_match(
                         t1, t2, config.match, config.schema, stats, context=context
@@ -324,17 +330,22 @@ class DiffPipeline:
                     matching = simple_match(
                         t1, t2, config.match, stats, context=context
                     )
-                span.meta["pairs"] = len(matching)
+                stage.meta.update(pairs=len(matching), **_match_counts(stats))
             if config.postprocess:
-                with trace.span("postprocess") as span:
+                with trace.span("postprocess") as stage:
+                    before = _match_counts(stats)
                     repairs = postprocess_matching(
                         t1, t2, matching, config.match, stats, context=context
                     )
-                    span.meta["repairs"] = repairs
+                    after = _match_counts(stats)
+                    stage.meta.update(
+                        {name: after[name] - before[name] for name in after},
+                        repairs=repairs,
+                    )
 
-        with trace.span("editscript") as span:
+        with trace.span("editscript") as stage:
             edit = generate_edit_script(t1, t2, matching, index2=index2)
-            span.meta["operations"] = len(edit.script)
+            stage.meta["operations"] = len(edit.script)
 
         result = DiffResult(
             matching=matching,

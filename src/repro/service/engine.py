@@ -39,7 +39,7 @@ from ..core.serialization import tree_from_dict, tree_to_dict
 from ..core.tree import Tree
 from ..editscript.script import EditScript
 from ..matching.criteria import MatchConfig
-from ..obs.trace import Tracer, synthesize_stage_spans
+from ..obs.trace import Span, Tracer
 from ..pipeline import DiffConfig, DiffPipeline
 from .cache import (
     ScriptCache,
@@ -76,7 +76,8 @@ class JobResult:
     new_digest: Optional[str] = None
     summary: Dict[str, int] = field(default_factory=dict)
     #: Per-pipeline-stage wall milliseconds for computed jobs (empty for
-    #: cache/digest hits and failures); from the pipeline's Trace.
+    #: cache/digest hits and failures); from the pipeline's Trace, on the
+    #: tracer's clock when the job ran traced.
     stage_ms: Dict[str, float] = field(default_factory=dict)
     #: Outcome of the engine's oracle spot check: ``True``/``False`` when
     #: this job was sampled (``verify_fraction``), ``None`` when it wasn't.
@@ -233,7 +234,8 @@ class DiffEngine:
         self._verify_lock = threading.Lock()
         self._verify_seen = 0
         #: Optional :class:`repro.obs.Tracer`; jobs that carry a trace
-        #: context open an ``engine`` span with stage children under it.
+        #: context open an ``engine`` span, and a thread-mode pipeline run
+        #: opens its ``stage.*`` spans under it while each stage runs.
         self.tracer = tracer
         #: Fallback trace context applied when a job carries none (the CLI
         #: uses this to hang a whole batch under one root span).
@@ -377,7 +379,7 @@ class DiffEngine:
             new_tree = new() if callable(new) else new
             if not isinstance(old_tree, Tree) or not isinstance(new_tree, Tree):
                 raise TypeError("job inputs must be Tree objects or loaders returning them")
-            self._diff_into(result, old_tree, new_tree)
+            self._diff_into(result, old_tree, new_tree, span)
             if self._should_verify():
                 result.verified = self._spot_check(result, old_tree, new_tree)
         except Exception as exc:
@@ -395,17 +397,6 @@ class DiffEngine:
         if span is not None:
             span.annotate(source=result.source, job_status=result.status)
             span.close("ok" if result.status == "ok" else "error")
-            if result.stage_ms:
-                # The pipeline Trace only knows durations; lay them out
-                # back to back inside the engine span's interval.
-                synthesize_stage_spans(
-                    self.tracer,
-                    span.trace_id,
-                    span.span_id,
-                    result.stage_ms,
-                    span.record.start,
-                    meta={"job": job_id},
-                )
         return result
 
     def _should_verify(self) -> bool:
@@ -480,7 +471,13 @@ class DiffEngine:
             self.metrics.incr("verify_failures")
         return report.ok
 
-    def _diff_into(self, result: JobResult, old_tree: Tree, new_tree: Tree) -> None:
+    def _diff_into(
+        self,
+        result: JobResult,
+        old_tree: Tree,
+        new_tree: Tree,
+        span: Optional[Span],
+    ) -> None:
         old_index = cached_digests(old_tree)
         new_index = cached_digests(new_tree)
         result.old_digest = old_index.root_hex
@@ -519,7 +516,7 @@ class DiffEngine:
             if attempt:
                 self.metrics.incr("jobs_retried")
             try:
-                payload, stage_ms = self._compute(old_tree, new_tree)
+                payload, stage_ms = self._compute(old_tree, new_tree, span)
                 break
             except Exception as exc:
                 last_error = exc
@@ -541,13 +538,15 @@ class DiffEngine:
             self.cache.put(key, payload)
 
     def _compute(
-        self, old_tree: Tree, new_tree: Tree
+        self, old_tree: Tree, new_tree: Tree, span: Optional[Span]
     ) -> Tuple[Dict[str, Any], Dict[str, float]]:
         """Produce ``(canonical payload, per-stage wall ms)`` for one pair.
 
         Timings travel beside the payload, never inside it: the payload is
         what gets cached, and a cache entry must not embed one particular
-        run's latencies.
+        run's latencies. In thread mode the pipeline opens its stage spans
+        under *span*; a process-pool child has no tracer, so the engine
+        span only gets the child's ``stage_ms`` in its meta.
         """
         if self.executor == "process":
             config = self.config if self.config is not None else MatchConfig()
@@ -562,8 +561,10 @@ class DiffEngine:
                 "postprocess": self.postprocess,
             }
             response = self._process_pool().submit(_process_diff, request).result()
+            if span is not None:
+                span.annotate(stage_ms=response["stage_ms"])
             return response["payload"], response["stage_ms"]
-        diffed = self._pipeline.run(old_tree, new_tree)
+        diffed = self._pipeline.run(old_tree, new_tree, span=span)
         stage_ms = diffed.trace.stage_ms() if diffed.trace is not None else {}
         try:
             payload = canonicalize_script(

@@ -6,13 +6,21 @@ around it: jobs processed, cache effectiveness, digest short-circuits,
 operations emitted, and wall-time percentiles. Everything is thread-safe
 (the engine records from worker threads) and exports a plain-dict
 :meth:`ServiceMetrics.snapshot` consumed by the CLI and the benchmarks.
+
+Latencies land in fixed log-spaced buckets (:class:`LatencyHistogram`),
+so a cluster's per-worker snapshots merge by adding bucket counts and the
+merged percentiles keep the stated ``RELATIVE_ERROR`` bound. Per-stage
+histograms are fed from each computed job's pipeline ``stage_ms``; the
+per-request view of the same stages is the ``stage.*`` spans in
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..simtest.clock import monotonic_callable
 from ..verify.oracles import VerifyReport
@@ -34,26 +42,40 @@ STANDARD_COUNTERS = (
 )
 
 
-class LatencyHistogram:
-    """Wall-time samples with percentile export.
+#: Relative error bound of every percentile a :class:`LatencyHistogram`
+#: reports, against the exact nearest-rank percentile of its samples.
+RELATIVE_ERROR = 0.005
+_GAMMA = (1.0 + RELATIVE_ERROR) / (1.0 - RELATIVE_ERROR)
+_LOG_GAMMA = math.log(_GAMMA)
+#: Values at or below this many milliseconds share the lowest bucket.
+MIN_TRACKED_MS = 1e-6
 
-    Keeps a bounded ring of recent samples (plus exact count/total so the
-    mean never loses precision); percentiles are computed over the retained
-    window, which is the standard recent-window approximation.
+
+def _bucket_of(value: float) -> int:
+    return math.ceil(math.log(max(value, MIN_TRACKED_MS)) / _LOG_GAMMA)
+
+
+class LatencyHistogram:
+    """Wall-time samples in fixed log-spaced buckets, with percentile export.
+
+    Bucket ``i`` counts the values in ``(γ^(i-1), γ^i]`` with
+    ``γ = (1 + α) / (1 - α)`` and ``α = RELATIVE_ERROR`` (0.5%). A percentile
+    is the nearest-rank bucket's midpoint ``2γ^i / (γ + 1)``, clamped to the
+    exact min and max seen (ranks 0 and ``count - 1`` report those as
+    they are), so it is within a relative error of ``α`` of
+    the exact nearest-rank percentile of every sample observed (values at
+    or below ``MIN_TRACKED_MS`` are off by at most that much, absolutely).
+    Count, sum, min and max are exact. Histograms merge by adding bucket
+    counts, so a merge of per-worker histograms *is* the histogram of the
+    union of their samples (:func:`merge_snapshots`). Stdlib only.
     """
 
-    def __init__(
-        self,
-        max_samples: int = 4096,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-        self._max = max_samples
-        self._samples: List[float] = []
-        self._next = 0  # ring cursor once the window is full
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+        self.buckets: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
+        self.min: Optional[float] = None
+        self.max: Optional[float] = None
         self._clock = clock if clock is not None else time.monotonic
         #: Monotonic stamps of the first/last observation (None until one
         #: lands) — under an injected clock these are virtual times, which
@@ -68,25 +90,72 @@ class LatencyHistogram:
         self.last_at = now
         self.count += 1
         self.total += value
-        if len(self._samples) < self._max:
-            self._samples.append(value)
-        else:
-            self._samples[self._next] = value
-            self._next = (self._next + 1) % self._max
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+        index = _bucket_of(value)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
+
+    def merge(self, other: "LatencyHistogram") -> None:
+        """Add *other*'s samples to this histogram."""
+        for index, count in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + count
+        self.count += other.count
+        self.total += other.total
+        for bound in (other.min, other.max):
+            if bound is not None:
+                self.min = bound if self.min is None else min(self.min, bound)
+                self.max = bound if self.max is None else max(self.max, bound)
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """The *p*-th percentile (0-100) of the retained window."""
-        if not self._samples:
+        """The nearest-rank *p*-th percentile (0-100), within ``RELATIVE_ERROR``."""
+        if not self.count:
             return 0.0
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        ordered = sorted(self._samples)
-        # Nearest-rank on the retained window.
-        rank = max(0, min(len(ordered) - 1, round(p / 100.0 * (len(ordered) - 1))))
-        return ordered[int(rank)]
+        rank = round(p / 100.0 * (self.count - 1))
+        if rank == 0:
+            return self.min
+        if rank == self.count - 1:
+            return self.max
+        seen = 0
+        for index in sorted(self.buckets):
+            seen += self.buckets[index]
+            if seen > rank:
+                break
+        value = 2.0 * _GAMMA ** index / (_GAMMA + 1.0)
+        return min(self.max, max(self.min, value))
+
+    def stats(self) -> Dict[str, Any]:
+        """JSON-friendly summary plus the sparse buckets it merges by."""
+        return {
+            "count": self.count,
+            "mean_ms": round(self.mean(), 3),
+            "p50_ms": round(self.percentile(50), 3),
+            "p95_ms": round(self.percentile(95), 3),
+            "p99_ms": round(self.percentile(99), 3),
+            "max_ms": round(self.percentile(100), 3),
+            "histogram": {
+                "buckets": {str(i): n for i, n in sorted(self.buckets.items())},
+                "sum": self.total,
+                "min": self.min,
+                "max": self.max,
+            },
+        }
+
+    @classmethod
+    def from_stats(cls, stats: Dict[str, Any]) -> "LatencyHistogram":
+        """Rebuild a histogram from :meth:`stats` (e.g. a worker's snapshot)."""
+        hist = cls()
+        exported = stats.get("histogram") or {}
+        hist.buckets = {int(i): int(n) for i, n in exported.get("buckets", {}).items()}
+        hist.count = sum(hist.buckets.values())
+        hist.total = float(exported.get("sum", 0.0))
+        hist.min = exported.get("min")
+        hist.max = exported.get("max")
+        return hist
 
 
 class ServiceMetrics:
@@ -94,19 +163,17 @@ class ServiceMetrics:
 
     Besides the whole-job ``wall_ms`` histogram, the metrics keep one
     histogram per pipeline stage (``index``, ``match``, ``postprocess``,
-    ``editscript``, ``deltatree``), fed either directly by the engine from
-    each job's :class:`~repro.pipeline.Trace` or by subscribing
-    :meth:`stage_listener` to a :class:`~repro.pipeline.DiffPipeline`.
+    ``editscript``, ``deltatree``), fed by the engine through
+    :meth:`observe_stage` from each computed job's ``stage_ms``.
     """
 
-    def __init__(self, max_samples: int = 4096, clock: Optional[object] = None) -> None:
+    def __init__(self, clock: Optional[object] = None) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {name: 0 for name in STANDARD_COUNTERS}
-        self._max_samples = max_samples
         # Accepts a Clock object or a bare () -> float monotonic callable;
         # drives the first_at/last_at stamps on every histogram.
         self._clock = monotonic_callable(clock)
-        self.wall_ms = LatencyHistogram(max_samples, clock=self._clock)
+        self.wall_ms = LatencyHistogram(clock=self._clock)
         self._stages: Dict[str, LatencyHistogram] = {}
         self.verify = VerifyReport()
 
@@ -127,23 +194,8 @@ class ServiceMetrics:
         with self._lock:
             histogram = self._stages.get(stage)
             if histogram is None:
-                histogram = self._stages[stage] = LatencyHistogram(
-                    self._max_samples, clock=self._clock
-                )
+                histogram = self._stages[stage] = LatencyHistogram(clock=self._clock)
             histogram.observe(milliseconds)
-
-    def stage_listener(self):
-        """A span listener wiring a pipeline's trace into these metrics.
-
-        Pass the result to :class:`~repro.pipeline.DiffPipeline` (the
-        ``listeners`` argument or ``subscribe``): every stage span is then
-        recorded here as it closes.
-        """
-
-        def on_span(span) -> None:
-            self.observe_stage(span.name, span.wall_ms)
-
-        return on_span
 
     def absorb_verify_report(self, report: VerifyReport) -> None:
         """Fold a :class:`~repro.verify.oracles.VerifyReport` into the
@@ -152,24 +204,15 @@ class ServiceMetrics:
         with self._lock:
             self.verify.merge(report)
 
-    def stage_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-stage latency stats (count/mean/p50/p95/p99), JSON-friendly."""
+    def stage_snapshot(self) -> Dict[str, Dict[str, Any]]:
+        """Per-stage latency stats (:meth:`LatencyHistogram.stats`), JSON-friendly."""
         with self._lock:
-            return {
-                name: {
-                    "count": hist.count,
-                    "mean_ms": round(hist.mean(), 3),
-                    "p50_ms": round(hist.percentile(50), 3),
-                    "p95_ms": round(hist.percentile(95), 3),
-                    "p99_ms": round(hist.percentile(99), 3),
-                }
-                for name, hist in sorted(self._stages.items())
-            }
+            return {name: hist.stats() for name, hist in sorted(self._stages.items())}
 
     def reset(self) -> None:
         with self._lock:
             self._counters = {name: 0 for name in STANDARD_COUNTERS}
-            self.wall_ms = LatencyHistogram(self.wall_ms._max, clock=self._clock)
+            self.wall_ms = LatencyHistogram(clock=self._clock)
             self._stages = {}
             self.verify = VerifyReport()
 
@@ -189,15 +232,7 @@ class ServiceMetrics:
         """Export counters and latency stats as a JSON-friendly dict."""
         with self._lock:
             counters = dict(self._counters)
-            wall = {
-                "count": self.wall_ms.count,
-                "mean_ms": round(self.wall_ms.mean(), 3),
-                "p50_ms": round(self.wall_ms.percentile(50), 3),
-                "p95_ms": round(self.wall_ms.percentile(95), 3),
-                "p99_ms": round(self.wall_ms.percentile(99), 3),
-                "max_ms": round(self.wall_ms.percentile(100), 3),
-            }
-        with self._lock:
+            wall = self.wall_ms.stats()
             verify = self.verify.to_dict()
         return {
             "counters": counters,
@@ -256,31 +291,16 @@ class ServiceMetrics:
 # Cross-process aggregation (the cluster's /metrics endpoint)
 # ---------------------------------------------------------------------------
 def _merge_histogram_stats(stats_list):
-    """Merge per-worker histogram *snapshots* (not raw samples).
+    """Merge per-worker histogram stats by adding their buckets.
 
-    Counts sum exactly and means merge exactly (count-weighted). True
-    percentiles are not recoverable from per-worker percentiles, so p50/p95/
-    p99 merge as the count-weighted average — the standard snapshot-level
-    approximation — while ``max_ms`` merges exactly as the max.
+    The result is exactly what one histogram of the union of the workers'
+    samples reports, so merged percentiles keep the ``RELATIVE_ERROR``
+    bound instead of averaging per-worker percentiles.
     """
-    total = sum(int(stats.get("count", 0)) for stats in stats_list)
-    keys = sorted({key for stats in stats_list for key in stats if key != "count"})
-    merged = {"count": total}
-    for key in keys:
-        values = [
-            (int(stats.get("count", 0)), float(stats.get(key, 0.0)))
-            for stats in stats_list
-            if key in stats
-        ]
-        if key == "max_ms":
-            merged[key] = round(max((v for _, v in values), default=0.0), 3)
-        elif total == 0:
-            merged[key] = 0.0
-        else:
-            merged[key] = round(
-                sum(count * value for count, value in values) / total, 3
-            )
-    return merged
+    merged = LatencyHistogram()
+    for stats in stats_list:
+        merged.merge(LatencyHistogram.from_stats(stats))
+    return merged.stats()
 
 
 def merge_snapshots(snapshots):

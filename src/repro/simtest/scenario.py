@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.export import validate_trace
-from ..obs.trace import Tracer, extract_trace_context, synthesize_stage_spans
+from ..obs.trace import Tracer, extract_trace_context
 from ..serve.admission import AdmissionController
 from ..serve.client import DiffServiceClient, ServiceError
 from ..serve.router import HashRing, affinity_key
@@ -72,16 +72,6 @@ from .faults import FaultInjector, FaultPlan
 
 #: Stride mixed into per-client rng seeds (mirrors verify.fuzz).
 _SEED_STRIDE = 1_000_003
-
-#: How the simulated service time splits across the real pipeline's stages
-#: (same names as :class:`repro.pipeline.Trace`). Sums to 0.9 so the
-#: synthesized stage spans always fit inside the enclosing engine span.
-STAGE_WEIGHTS = (
-    ("index", 0.10),
-    ("match", 0.50),
-    ("postprocess", 0.10),
-    ("editscript", 0.20),
-)
 
 
 def derive_rng(seed: int, name: str) -> random.Random:
@@ -394,18 +384,10 @@ class SimWorker:
             metrics.incr("jobs_succeeded")
             metrics.observe_wall((self.clock.monotonic() - started) * 1000.0)
             if engine_span is not None:
+                # A sim worker sleeps its service time instead of running
+                # the pipeline, so its engine span has no stage children.
                 engine_span.annotate(source="cache" if hit else "computed")
-                record = engine_span.close("ok")
-                # Mirror the production engine: the sim's "service time"
-                # splits over the real pipeline's stage names.
-                synthesize_stage_spans(
-                    self.tracer,
-                    engine_span.trace_id,
-                    engine_span.span_id,
-                    {name: weight * service * 1000.0 for name, weight in STAGE_WEIGHTS},
-                    record.start,
-                    meta={"worker": self.worker_id},
-                )
+                engine_span.close("ok")
             return (
                 200,
                 {"id": doc, "worker": self.worker_id, "cache": bool(hit)},

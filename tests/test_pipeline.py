@@ -11,6 +11,7 @@ from repro.matching.criteria import MatchConfig, MatchingStats
 from repro.matching.fastmatch import fast_match
 from repro.matching.postprocess import postprocess_matching
 from repro.matching.simple import match as simple_match
+from repro.obs import Tracer, validate_trace
 from repro.pipeline import STAGES, DiffConfig, DiffPipeline, Trace
 from repro.workload import MutationEngine, generate_document
 from repro.workload.documents import DocumentSpec
@@ -144,13 +145,35 @@ class TestTrace:
         result = DiffPipeline(DiffConfig()).run(old, new)
         assert result.trace.counters["index_cache_hits"] == 2
 
-    def test_listeners_see_every_span(self):
+    @pytest.mark.parametrize("algorithm", ["fast", "simple"])
+    def test_stage_counters_sum_to_the_run_counters(self, algorithm):
+        old, new = random_pair(29, 6)
+        result = DiffPipeline(DiffConfig(algorithm=algorithm)).run(old, new)
+        trace = result.trace
+        by_stage = {span.name: span.meta for span in trace.spans}
+        assert by_stage["stage.postprocess"]["repairs"] == result.postprocess_repairs
+        assert by_stage["stage.editscript"]["operations"] == len(result.script)
+        for name in ("leaf_compares", "partner_checks", "lcs_calls"):
+            total = sum(meta.get(name, 0) for meta in by_stage.values())
+            assert total == getattr(result.match_stats, name) == trace.counters[name]
+        assert by_stage["stage.match"]["leaf_compares"] > 0
+
+    def test_stages_are_children_of_the_callers_span(self):
         old, new = random_pair(17, 5)
-        seen = []
-        pipeline = DiffPipeline(DiffConfig())
-        pipeline.subscribe(lambda span: seen.append(span.name))
-        result = pipeline.run(old, new)
-        assert seen == list(result.trace.stage_ms())
+        tracer = Tracer(fraction=1.0)
+        root = tracer.start_span("caller")
+        result = DiffPipeline(DiffConfig()).run(old, new, span=root)
+        root.close()
+        spans = tracer.trace(root.trace_id)
+        assert validate_trace(spans) == []
+        stages = [s for s in spans if s["kind"] == "stage"]
+        assert [s["name"] for s in stages] == [
+            f"stage.{name}" for name in result.trace.stage_ms()
+        ]
+        assert all(s["parent"] == root.span_id for s in stages)
+        assert [s["wall_ms"] for s in stages] == [
+            pytest.approx(ms, abs=1e-3) for ms in result.trace.stage_ms().values()
+        ]
 
     def test_to_dict_and_render(self):
         old, new = random_pair(19, 5)

@@ -133,11 +133,9 @@ class TestMergeSnapshots:
         metrics = ServiceMetrics()
         for _ in range(jobs):
             metrics.incr("jobs_submitted")
+        for _ in range(wall_count):
+            metrics.observe_wall(wall_mean)
         snap = metrics.snapshot()
-        snap["wall_time"] = {
-            "count": wall_count, "mean_ms": wall_mean, "p50_ms": wall_mean,
-            "p95_ms": wall_mean, "p99_ms": wall_mean, "max_ms": wall_mean,
-        }
         snap["cache"] = {"hits": cache_hits, "misses": 0, "evictions": 0,
                         "size": 0, "capacity": 8}
         return snap

@@ -200,11 +200,11 @@ class TestTimeoutsAndRetries:
         calls = {"n": 0}
         original = engine._compute
 
-        def flaky(old_tree, new_tree):
+        def flaky(old_tree, new_tree, span):
             calls["n"] += 1
             if calls["n"] <= 2:
                 raise RuntimeError("transient backend hiccup")
-            return original(old_tree, new_tree)
+            return original(old_tree, new_tree, span)
 
         engine._compute = flaky
         result = engine.diff(base, new)
@@ -219,7 +219,7 @@ class TestTimeoutsAndRetries:
         base = doc()
         new = mutated(base)
 
-        def always_broken(old_tree, new_tree):
+        def always_broken(old_tree, new_tree, span):
             raise RuntimeError("backend down")
 
         engine._compute = always_broken

@@ -3,11 +3,15 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.metrics import (
+    RELATIVE_ERROR,
     STANDARD_COUNTERS,
     LatencyHistogram,
     ServiceMetrics,
+    merge_snapshots,
 )
 
 
@@ -28,19 +32,11 @@ class TestLatencyHistogram:
         assert 90.0 <= hist.percentile(95) <= 100.0
 
     def test_mean_is_exact_beyond_window(self):
-        hist = LatencyHistogram(max_samples=8)
+        hist = LatencyHistogram()
         for value in range(100):
             hist.observe(float(value))
         assert hist.count == 100
         assert hist.mean() == pytest.approx(sum(range(100)) / 100)
-
-    def test_window_is_bounded(self):
-        hist = LatencyHistogram(max_samples=16)
-        for value in range(1000):
-            hist.observe(float(value))
-        assert len(hist._samples) == 16
-        # percentiles reflect the recent window, not ancient samples
-        assert hist.percentile(0) >= 984.0
 
     def test_percentile_validation(self):
         hist = LatencyHistogram()
@@ -141,3 +137,66 @@ class TestTailLatency:
         metrics.observe_stage("match", 2.0)
         text = metrics.render()
         assert "p99=" in text
+
+
+def exact_nearest_rank(samples, p):
+    ordered = sorted(samples)
+    return ordered[round(p / 100.0 * (len(ordered) - 1))]
+
+
+class TestClusterPercentiles:
+    """Merging per-worker snapshots adds buckets; it never averages percentiles."""
+
+    def test_one_slow_worker_keeps_its_tail(self):
+        fast, slow = ServiceMetrics(), ServiceMetrics()
+        for _ in range(980):
+            fast.observe_wall(1.0)
+        for _ in range(20):
+            slow.observe_wall(1000.0)
+        wall = merge_snapshots({"w0": fast.snapshot(), "w1": slow.snapshot()})["wall_time"]
+        assert wall["count"] == 1000
+        assert wall["p50_ms"] == 1.0
+        assert wall["p95_ms"] == 1.0
+        assert wall["p99_ms"] == pytest.approx(1000.0, rel=RELATIVE_ERROR)
+        assert wall["max_ms"] == 1000.0
+        assert wall["mean_ms"] == pytest.approx(20.98)
+
+    def test_stage_histograms_merge_too(self):
+        a, b = ServiceMetrics(), ServiceMetrics()
+        a.observe_stage("match", 2.0)
+        b.observe_stage("match", 2.0)
+        b.observe_stage("index", 0.5)
+        stages = merge_snapshots({"w0": a.snapshot(), "w1": b.snapshot()})["stages"]
+        assert stages["match"]["count"] == 2 and stages["match"]["p50_ms"] == 2.0
+        assert stages["index"]["count"] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workers=st.lists(
+            st.lists(
+                st.floats(min_value=0.001, max_value=60_000.0, allow_nan=False),
+                min_size=0, max_size=40,
+            ),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_merge_equals_the_union_within_the_bound(self, workers):
+        union = LatencyHistogram()
+        snapshots = {}
+        for index, samples in enumerate(workers):
+            metrics = ServiceMetrics()
+            for value in samples:
+                metrics.observe_wall(value)
+                union.observe(value)
+            snapshots[f"w{index}"] = metrics.snapshot()
+        merged = merge_snapshots(snapshots)["wall_time"]
+        expected = union.stats()
+        for key in ("count", "p50_ms", "p95_ms", "p99_ms", "max_ms"):
+            assert merged[key] == expected[key], key
+        everything = [value for samples in workers for value in samples]
+        for p in (0, 50, 95, 99, 100):
+            if not everything:
+                assert union.percentile(p) == 0.0
+                continue
+            exact = exact_nearest_rank(everything, p)
+            assert abs(union.percentile(p) - exact) <= RELATIVE_ERROR * exact * (1 + 1e-9)
