@@ -104,6 +104,7 @@ def main() -> int:
         ok = False
 
     payload = {
+        "benchmark": "bench_simtest",
         "bench": "simtest",
         "mode": "smoke" if args.smoke else "full",
         "seeds": seed_count,
@@ -112,6 +113,9 @@ def main() -> int:
             sum(row["virtual_s"] for row in band["rows"].values()), 3
         ),
         "ok": ok,
+        "deterministic": all(
+            row["deterministic"] for row in band["rows"].values()
+        ),
         "scenarios": band["rows"],
     }
     print("BENCH " + json.dumps(payload, sort_keys=True))

@@ -69,6 +69,12 @@ POLICIES = {
         # every sampled job must land its engine + stage spans, none open
         "spans_ok": ("equals", None),
     },
+    "bench_simtest": {
+        # every scenario passes every seed of the band, and each event log
+        # is byte-identical when the same seed runs twice
+        "ok": ("equals", None),
+        "deterministic": ("equals", None),
+    },
 }
 
 

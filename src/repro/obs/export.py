@@ -98,7 +98,9 @@ def validate_trace(spans: List[Dict[str, Any]]) -> List[str]:
                 )
             if kid.get("kind") == "stage":
                 stages.append(kid)
-        stages.sort(key=lambda kid: kid["start"])
+        # On a tied start the zero-width span goes first: it ends where the
+        # other begins, so the tie is no overlap (span ids must not decide).
+        stages.sort(key=lambda kid: (kid["start"], kid["end"]))
         for before, after in zip(stages, stages[1:]):
             if after["start"] + _EPS < before["end"]:
                 violations.append(

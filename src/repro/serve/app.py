@@ -1,4 +1,4 @@
-"""The asyncio HTTP/1.1 diff service: routing, handlers, serve loop.
+"""The diff service's worker: a transport-free core and its asyncio shell.
 
 A deliberately small, stdlib-only HTTP server (no frameworks, matching the
 repo's no-new-runtime-deps rule) that puts :class:`repro.service.DiffEngine`
@@ -14,10 +14,16 @@ GET       ``/healthz``    liveness + draining state (never admission-gated)
 GET       ``/metrics``    deterministic JSON snapshot of ServiceMetrics
 ========  ==============  ====================================================
 
-Compute requests pass through :class:`~repro.serve.admission.AdmissionController`
-(413 / 429 + ``Retry-After`` / 504 / 503-while-draining; see that module)
-and run on the engine's worker pool via ``run_in_executor`` so the event
-loop only ever parses, routes, and writes — it never blocks on matching.
+:class:`WorkerCore` decides every request without I/O: routing, admission
+through :class:`~repro.serve.admission.AdmissionController` (429 +
+``Retry-After`` / 504 / 503-while-draining; see that module), spans, and
+the mapping of a job outcome to ``(status, payload, headers)``.
+:class:`DiffServer` is the asyncio shell around it: the connection loop of
+:class:`~repro.serve.protocol.HttpShell`, the engine's worker pool via
+``run_in_executor`` (so the event loop only parses, routes, and writes),
+and ``asyncio.wait_for`` on the deadline. The simulator
+(:mod:`repro.simtest.scenario`) drives the same core inline on virtual
+time.
 
 Concurrency note: an expired deadline answers the *request* with 504, but
 the underlying pool job is not forcibly killed (CPython offers no safe
@@ -29,31 +35,27 @@ for stragglers: ``engine.close()`` joins its pool after the drain.
 from __future__ import annotations
 
 import asyncio
-import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
+from ..core.tree import Tree
 from ..matching.criteria import MatchConfig
 from ..obs.export import validate_trace
-from ..obs.trace import Tracer, extract_trace_context, is_valid_trace_id
+from ..obs.trace import Span, Tracer, extract_trace_context, is_valid_trace_id
 from ..service.engine import DiffEngine
 from ..service.metrics import ServiceMetrics
 from ..simtest.clock import SYSTEM_CLOCK
 from .admission import AdmissionController, Deadline
 from .lifecycle import Lifecycle, dump_final_metrics, dump_final_traces
 from .protocol import (
-    MAX_HEADERS,
     PROTOCOL,
-    STATUS_PHRASES,
     HttpError,
-    dumps,
+    HttpShell,
+    Response,
     job_result_to_dict,
     pairs_from_batch,
     parse_body,
-    parse_request_line,
-    read_content_length_body,
-    read_headers,
     require_pair,
 )
 
@@ -89,8 +91,42 @@ class ServeConfig:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
-class DiffServer:
-    """One engine, one admission controller, one listening socket."""
+@dataclass
+class Ticket:
+    """An admitted compute request between ``begin`` and ``finish``.
+
+    It holds one admission slot and, when traced, the open ``worker`` span.
+    """
+
+    path: str
+    data: Dict[str, Any]
+    deadline: Deadline
+    jobs: List[Tuple[Tree, Tree, str]]  #: parsed ``(old, new, job id)`` pairs
+    span: Optional[Span] = None
+    headers: Dict[str, str] = field(default_factory=dict)  #: for the response
+    check: Any = None  #: the FuzzConfig of a ``/v1/verify`` request
+
+    @property
+    def trace(self) -> Optional[Tuple[str, str]]:
+        """The ``(trace id, parent span id)`` the request's jobs run under."""
+        if self.span is None:
+            return None
+        return self.span.trace_id, self.span.span_id
+
+
+class WorkerCore:
+    """Everything one worker decides about a request, with no I/O.
+
+    :meth:`begin` routes and checks the method, parses the body, refuses
+    while draining, opens the ``worker``/``admission`` spans, admits (or
+    429s) and parses the deadline: it returns either a finished
+    :data:`~repro.serve.protocol.Response` or a :class:`Ticket`. The caller
+    runs the ticket's jobs however its transport does (an executor and
+    ``wait_for`` in :class:`DiffServer`, inline in the simulator) and hands
+    the outcome to :meth:`finish`, which maps it (or ``None``: the deadline
+    passed first) to a response, closes the spans and releases the slot.
+    Nothing here awaits, sleeps or touches a socket.
+    """
 
     def __init__(
         self,
@@ -104,11 +140,14 @@ class DiffServer:
         self.metrics = (
             metrics if metrics is not None else ServiceMetrics(clock=self.clock)
         )
-        self.tracer = Tracer(
-            fraction=self.config.trace_fraction,
-            capacity=self.config.trace_buffer,
-            clock=self.clock,
-        )
+        if engine is not None and engine.tracer is not None:
+            self.tracer = engine.tracer  # a shared tracer (the simulator's)
+        else:
+            self.tracer = Tracer(
+                fraction=self.config.trace_fraction,
+                capacity=self.config.trace_buffer,
+                clock=self.clock,
+            )
         if engine is not None:
             self.engine = engine
             self.engine.metrics = self.metrics
@@ -134,247 +173,116 @@ class DiffServer:
             mean_wall_ms=lambda: self.metrics.wall_ms.mean(),
             clock=self.clock,
         )
+        self.max_body_bytes = self.config.max_body_bytes
         self.lifecycle = Lifecycle(
             drain_timeout=self.config.drain_timeout,
             clock=clock,  # None in production: the loop clock drives drains
         )
-        self._server: Optional[asyncio.AbstractServer] = None
         self._started = self.clock.monotonic()
-        self.port: Optional[int] = None  #: actual bound port once started
         self._job_seq = 0
-        # Loop-thread-only state: requests between first byte and last byte
-        # (drain waits on this — admission releases before the response is
-        # written) and the open connection tasks (cancelled post-drain so
-        # idle keep-alive sockets don't outlive the loop noisily).
-        self._active_requests = 0
-        self._conn_tasks: set = set()
 
     # ------------------------------------------------------------------
-    # Serve loop
+    # Request in, response or ticket out
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Bind the listening socket (resolving port 0 to the real port)."""
-        self.lifecycle.bind(asyncio.get_running_loop())
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-
-    async def run(
-        self,
-        install_signals: bool = True,
-        announce: Optional[Callable[[str], None]] = None,
-        dump_metrics: bool = True,
-    ) -> Dict[str, Any]:
-        """Serve until shutdown is requested, drain, return final metrics."""
-        if self._server is None:
-            await self.start()
-        if install_signals:
-            self.lifecycle.install_signal_handlers()
-        if announce is not None:
-            announce(f"http://{self.config.host}:{self.port}")
-        try:
-            await self.lifecycle.wait_for_shutdown()
-            await self.lifecycle.drain(
-                self._server,
-                lambda: self._active_requests + self.admission.in_flight,
-            )
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        finally:
-            self._server = None
-            self.engine.close()
-        if self.config.trace_export:
-            dump_final_traces(self.tracer.export_jsonl(), self.config.trace_export)
-        snapshot = self.metrics_payload()
-        if dump_metrics:
-            dump_final_metrics(snapshot)
-        return snapshot
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername")
-        peer_id = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "unknown"
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                keep_alive = await self._handle_one_request(reader, writer, peer_id)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away mid-request; nothing to answer
-        except asyncio.CancelledError:
-            pass  # post-drain cleanup of an idle keep-alive socket
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_one_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer_id: str
-    ) -> bool:
-        """Read, dispatch, and answer one request; True to keep the socket."""
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return False
-        started = self.clock.perf_counter()
-        self.metrics.incr("http_requests")
-        self._active_requests += 1
-        try:
-            return await self._process_request(
-                reader, writer, peer_id, request_line, started
-            )
-        finally:
-            self._active_requests -= 1
-
-    async def _process_request(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        peer_id: str,
-        request_line: bytes,
-        started: float,
-    ) -> bool:
-        keep_alive = True
-        status = 500
-        body_read = False
-        try:
-            method, path, version = self._parse_request_line(request_line)
-            headers = await self._read_headers(reader)
-            wants_close = headers.get("connection", "").lower() == "close"
-            keep_alive = version == "HTTP/1.1" and not wants_close
-            body = await self._read_body(reader, method, headers)
-            body_read = True
-            client = headers.get("x-client-id", peer_id)
-            status, payload, extra = await self._dispatch(
-                method, path, headers, body, client
-            )
-        except HttpError as exc:
-            status, payload, extra = exc.status, exc.body(), {}
-            if exc.retry_after is not None:
-                extra["Retry-After"] = str(max(1, math.ceil(exc.retry_after)))
-            if not body_read:
-                # The request body was never consumed (413, bad framing):
-                # the socket is mid-stream, so it cannot be reused.
-                keep_alive = False
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # never let a handler bug kill the server
-            self.metrics.incr("http_internal_errors")
-            status = 500
-            payload = {
-                "error": "internal",
-                "message": f"{type(exc).__name__}: {exc}",
-                "protocol": PROTOCOL,
-            }
-            extra = {}
-        if self.lifecycle.draining:
-            keep_alive = False
-        self._count_response(status)
-        self.metrics.observe_stage(
-            "http", (self.clock.perf_counter() - started) * 1000.0
-        )
-        await self._respond(writer, status, payload, extra, keep_alive)
-        return keep_alive
-
-    @staticmethod
-    def _parse_request_line(raw: bytes) -> Tuple[str, str, str]:
-        return parse_request_line(raw)
-
-    @staticmethod
-    async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
-        return await read_headers(reader, MAX_HEADERS)
-
-    async def _read_body(
-        self, reader: asyncio.StreamReader, method: str, headers: Dict[str, str]
-    ) -> bytes:
-        if method not in ("POST", "PUT"):
-            return b""
-        try:
-            return await read_content_length_body(
-                reader, headers, self.admission.max_body_bytes
-            )
-        except HttpError as exc:
-            if exc.status == 413:
-                self.metrics.incr("rejected_too_large")
-            raise
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Dict[str, Any],
-        extra_headers: Dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        body = dumps(payload)
-        phrase = STATUS_PHRASES.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {phrase}",
-            f"Server: {PROTOCOL}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra_headers.items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
-        await writer.drain()
-
-    def _count_response(self, status: int) -> None:
-        self.metrics.incr(f"http_responses_{status // 100}xx")
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
-    async def _dispatch(
+    def begin(
         self,
         method: str,
         path: str,
         headers: Dict[str, str],
         body: bytes,
-        client: str,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        if path == "/healthz":
-            self._require_method(method, "GET", path)
-            return 200, self.health_payload(), {}
-        if path == "/metrics":
-            self._require_method(method, "GET", path)
-            return 200, self.metrics_payload(), {}
-        if path.startswith("/v1/trace/"):
-            self._require_method(method, "GET", path)
-            return 200, self.trace_payload(path[len("/v1/trace/"):]), {}
-        if path in COMPUTE_ROUTES:
+        peer: str,
+    ) -> Union[Response, Ticket]:
+        """Answer a request outright, or admit it and return its ticket."""
+        try:
+            if path == "/healthz":
+                self._require_method(method, "GET", path)
+                return 200, self.health_payload(), {}
+            if path == "/metrics":
+                self._require_method(method, "GET", path)
+                return 200, self.metrics_payload(), {}
+            if path.startswith("/v1/trace/"):
+                self._require_method(method, "GET", path)
+                return 200, self.trace_payload(path[len("/v1/trace/"):]), {}
+            if path not in COMPUTE_ROUTES:
+                raise HttpError(404, "not_found", f"no route for {path}")
             self._require_method(method, "POST", path)
             data = parse_body(body)
-            payload, extra = await self._admitted(path, data, headers, client)
-            return 200, payload, extra
-        raise HttpError(404, "not_found", f"no route for {path}")
+            return self._admit(path, data, headers, headers.get("x-client-id", peer))
+        except HttpError as exc:
+            return exc.response()
 
+    def compute(self, ticket: Ticket) -> Any:
+        """Run a ticket's work in the calling thread; the outcome for finish."""
+        if ticket.check is not None:
+            from ..verify.fuzz import check_pair, default_runner
+
+            old, new, _ = ticket.jobs[0]
+            return check_pair(old, new, ticket.check, default_runner)
+        return [
+            self.engine.diff(old, new, job_id=job_id, trace=ticket.trace)
+            for old, new, job_id in ticket.jobs
+        ]
+
+    def finish(self, ticket: Ticket, outcome: Any) -> Response:
+        """Map *outcome* to the response and close the ticket.
+
+        *outcome* is what :meth:`compute` returns, or ``None`` when the
+        deadline passed first: that answers 504 (the job itself is not
+        stopped; the slot is released with the response).
+        """
+        status = "error"
+        try:
+            if outcome is None:
+                self.metrics.incr("deadline_timeouts")
+                return HttpError(
+                    504,
+                    "deadline",
+                    f"no result within the {ticket.deadline.budget_s * 1000.0:.0f}ms "
+                    "deadline",
+                ).response()
+            include_script = bool(ticket.data.get("include_script", True))
+            if ticket.check is not None:
+                self.metrics.absorb_verify_report(outcome)
+                payload = outcome.to_dict()
+                payload["protocol"] = PROTOCOL
+            elif ticket.path == "/v1/diff":
+                payload = job_result_to_dict(outcome[0], include_script=include_script)
+            else:
+                payload = {
+                    "jobs": [
+                        job_result_to_dict(r, include_script=include_script)
+                        for r in outcome
+                    ],
+                    "failed": sum(1 for r in outcome if not r.ok),
+                    "protocol": PROTOCOL,
+                }
+                if ticket.span is not None:
+                    payload["trace_id"] = ticket.span.trace_id
+            status = "ok"
+            return 200, payload, ticket.headers
+        finally:
+            self.release(ticket, status)
+
+    def release(self, ticket: Ticket, status: str) -> None:
+        """Close the ticket's ``worker`` span and return its admission slot."""
+        if ticket.span is not None:
+            ticket.span.close(status)
+        self.admission.release()
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
     @staticmethod
     def _require_method(method: str, expected: str, path: str) -> None:
         if method != expected:
             raise HttpError(405, "method_not_allowed", f"{path} only accepts {expected}")
 
-    async def _admitted(
+    def _admit(
         self, path: str, data: Dict[str, Any], headers: Dict[str, str], client: str
-    ) -> Tuple[Dict[str, Any], Dict[str, str]]:
-        """The shared admission bracket around every compute endpoint.
+    ) -> Ticket:
+        """The admission bracket every compute endpoint shares.
 
-        Returns ``(payload, extra response headers)``; a traced request
+        A traced request (an inbound valid ``X-Trace-Id``, or sampled here)
         echoes its trace id back as ``X-Trace-Id``.
         """
         if self.lifecycle.draining:
@@ -382,15 +290,18 @@ class DiffServer:
             raise HttpError(
                 503, "draining", "server is draining; retry elsewhere", retry_after=1.0
             )
+        requested_ms = self._requested_deadline(data, headers)
         ctx = extract_trace_context(headers)
         if ctx is not None:
             trace_id, parent_id = ctx
-        else:
+        elif self.config.trace_fraction > 0.0:
             trace_id, parent_id = self.tracer.maybe_trace(), None
-        worker_span = None
+        else:
+            trace_id = parent_id = None
+        span = None
         extra: Dict[str, str] = {}
         if trace_id is not None:
-            worker_span = self.tracer.start_span(
+            span = self.tracer.start_span(
                 "worker",
                 kind="worker",
                 trace_id=trace_id,
@@ -399,16 +310,14 @@ class DiffServer:
             )
             extra["X-Trace-Id"] = trace_id
         admission_span = (
-            worker_span.child("admission", kind="worker")
-            if worker_span is not None
-            else None
+            span.child("admission", kind="worker") if span is not None else None
         )
         decision = self.admission.try_admit(client, span=admission_span)
         if admission_span is not None:
             admission_span.close("ok" if decision.admitted else "refused")
         if not decision.admitted:
-            if worker_span is not None:
-                worker_span.close("refused")
+            if span is not None:
+                span.close("refused")
             self.metrics.incr(f"rejected_{decision.reason}")
             raise HttpError(
                 429,
@@ -416,25 +325,37 @@ class DiffServer:
                 f"admission refused ({decision.reason}); retry later",
                 retry_after=decision.retry_after,
             )
-        deadline = self.admission.deadline(self._requested_deadline(data, headers))
-        trace = (trace_id, worker_span.span_id) if worker_span is not None else None
+        ticket = Ticket(
+            path, data, self.admission.deadline(requested_ms), [], span, extra
+        )
         try:
-            if path == "/v1/diff":
-                payload = await self._handle_diff(data, deadline, trace)
-            elif path == "/v1/batch":
-                payload = await self._handle_batch(data, deadline, trace)
-            else:
-                payload = await self._handle_verify(data, deadline)
+            self._parse_jobs(ticket)
         except BaseException:
-            if worker_span is not None:
-                worker_span.close("error")
+            self.release(ticket, "error")
             raise
-        else:
-            if worker_span is not None:
-                worker_span.close("ok")
-            return payload, extra
-        finally:
-            self.admission.release()
+        return ticket
+
+    def _parse_jobs(self, ticket: Ticket) -> None:
+        data = ticket.data
+        if ticket.path == "/v1/batch":
+            ticket.jobs = pairs_from_batch(data, self.config.max_batch)
+            return
+        old, new = require_pair(data)
+        if ticket.path == "/v1/diff":
+            ticket.jobs = [(old, new, str(data.get("id", self._next_job_id("http"))))]
+            return
+        from ..verify.fuzz import FuzzConfig
+
+        algorithm = data.get("algorithm", "both")
+        if algorithm not in ("fast", "simple", "both"):
+            raise HttpError(400, "bad_algorithm", f"unknown algorithm {algorithm!r}")
+        ticket.jobs = [(old, new, "verify")]
+        ticket.check = FuzzConfig(
+            algorithms=("fast", "simple") if algorithm == "both" else (algorithm,),
+            match=self.config.match,
+            differential=bool(data.get("differential", False)),
+            shrink=False,
+        )
 
     @staticmethod
     def _requested_deadline(
@@ -448,93 +369,9 @@ class DiffServer:
         except (TypeError, ValueError):
             raise HttpError(400, "bad_deadline", f"deadline_ms {raw!r} is not a number")
 
-    # ------------------------------------------------------------------
-    # Handlers
-    # ------------------------------------------------------------------
-    async def _await_with_deadline(self, awaitable: Awaitable, deadline: Deadline):
-        remaining = deadline.remaining()
-        if remaining <= 0.0:
-            self.metrics.incr("deadline_timeouts")
-            raise HttpError(
-                504, "deadline", "deadline exhausted before compute started"
-            )
-        try:
-            return await asyncio.wait_for(awaitable, timeout=remaining)
-        except asyncio.TimeoutError:
-            self.metrics.incr("deadline_timeouts")
-            raise HttpError(
-                504,
-                "deadline",
-                f"no result within the {deadline.budget_s * 1000.0:.0f}ms deadline",
-            )
-
     def _next_job_id(self, prefix: str) -> str:
         self._job_seq += 1
         return f"{prefix}-{self._job_seq}"
-
-    async def _handle_diff(
-        self,
-        data: Dict[str, Any],
-        deadline: Deadline,
-        trace: Optional[Tuple[str, str]] = None,
-    ) -> Dict[str, Any]:
-        old, new = require_pair(data)
-        job_id = str(data.get("id", self._next_job_id("http")))
-        future = asyncio.wrap_future(
-            self.engine.submit(old, new, job_id=job_id, trace=trace)
-        )
-        result = await self._await_with_deadline(future, deadline)
-        include_script = bool(data.get("include_script", True))
-        return job_result_to_dict(result, include_script=include_script)
-
-    async def _handle_batch(
-        self,
-        data: Dict[str, Any],
-        deadline: Deadline,
-        trace: Optional[Tuple[str, str]] = None,
-    ) -> Dict[str, Any]:
-        pairs = pairs_from_batch(data, self.config.max_batch)
-        futures = [
-            asyncio.wrap_future(self.engine.submit(old, new, job_id=job_id, trace=trace))
-            for old, new, job_id in pairs
-        ]
-        results = await self._await_with_deadline(asyncio.gather(*futures), deadline)
-        include_script = bool(data.get("include_script", True))
-        jobs = [job_result_to_dict(r, include_script=include_script) for r in results]
-        out = {
-            "jobs": jobs,
-            "failed": sum(1 for r in results if not r.ok),
-            "protocol": PROTOCOL,
-        }
-        if trace is not None:
-            out["trace_id"] = trace[0]
-        return out
-
-    async def _handle_verify(
-        self, data: Dict[str, Any], deadline: Deadline
-    ) -> Dict[str, Any]:
-        from ..verify.fuzz import FuzzConfig, check_pair, default_runner
-
-        old, new = require_pair(data)
-        algorithm = data.get("algorithm", "both")
-        if algorithm not in ("fast", "simple", "both"):
-            raise HttpError(400, "bad_algorithm", f"unknown algorithm {algorithm!r}")
-        algorithms = ("fast", "simple") if algorithm == "both" else (algorithm,)
-        config = FuzzConfig(
-            algorithms=algorithms,
-            match=self.config.match,
-            differential=bool(data.get("differential", False)),
-            shrink=False,
-        )
-        loop = asyncio.get_running_loop()
-        report = await self._await_with_deadline(
-            loop.run_in_executor(None, check_pair, old, new, config, default_runner),
-            deadline,
-        )
-        self.metrics.absorb_verify_report(report)
-        out = report.to_dict()
-        out["protocol"] = PROTOCOL
-        return out
 
     # ------------------------------------------------------------------
     # Introspection payloads
@@ -573,6 +410,102 @@ class DiffServer:
             "complete": open_spans == 0 and not validate_trace(spans),
             "protocol": PROTOCOL,
         }
+
+
+class DiffServer(WorkerCore, HttpShell):
+    """The worker core behind one listening socket.
+
+    The shell only moves bytes and time: :class:`HttpShell` frames the
+    request, :meth:`WorkerCore.begin` decides it, the ticket's jobs run on
+    the engine's pool under ``asyncio.wait_for`` of the remaining deadline,
+    and :meth:`WorkerCore.finish` shapes the answer.
+    """
+
+    COUNTER_PREFIX = "http_"
+
+    def __init__(
+        self,
+        config: Optional[ServeConfig] = None,
+        engine: Optional[DiffEngine] = None,
+        metrics: Optional[ServiceMetrics] = None,
+        clock: Optional[Any] = None,
+    ) -> None:
+        super().__init__(config, engine=engine, metrics=metrics, clock=clock)
+        self._init_shell()
+
+    async def start(self) -> None:
+        """Bind the listening socket (resolving port 0 to the real port)."""
+        self.lifecycle.bind(asyncio.get_running_loop())
+        await self.listen(self.config.host, self.config.port)
+
+    async def run(
+        self,
+        install_signals: bool = True,
+        announce: Optional[Callable[[str], None]] = None,
+        dump_metrics: bool = True,
+    ) -> Dict[str, Any]:
+        """Serve until shutdown is requested, drain, return final metrics."""
+        if self.server is None:
+            await self.start()
+        if install_signals:
+            self.lifecycle.install_signal_handlers()
+        if announce is not None:
+            announce(f"http://{self.config.host}:{self.port}")
+        try:
+            await self.lifecycle.wait_for_shutdown()
+            await self.lifecycle.drain(
+                self.server,
+                lambda: self.active_requests + self.admission.in_flight,
+            )
+            await self.close_connections()
+        finally:
+            self.server = None
+            self.engine.close()
+        if self.config.trace_export:
+            dump_final_traces(self.tracer.export_jsonl(), self.config.trace_export)
+        snapshot = self.metrics_payload()
+        if dump_metrics:
+            dump_final_metrics(snapshot)
+        return snapshot
+
+    def _count(self, name: str) -> None:
+        self.metrics.incr(name)
+
+    def _responded(self, status: int, started: float) -> None:
+        super()._responded(status, started)
+        self.metrics.observe_stage(
+            "http", (self.clock.perf_counter() - started) * 1000.0
+        )
+
+    async def _dispatch(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes, peer: str
+    ) -> Response:
+        ticket = self.begin(method, path, headers, body, peer)
+        if not isinstance(ticket, Ticket):
+            return ticket
+        outcome = None
+        remaining = ticket.deadline.remaining()
+        if remaining > 0.0:
+            try:
+                outcome = await asyncio.wait_for(self._submit(ticket), remaining)
+            except asyncio.TimeoutError:
+                pass
+            except BaseException:
+                self.release(ticket, "error")
+                raise
+        return self.finish(ticket, outcome)
+
+    def _submit(self, ticket: Ticket) -> Awaitable:
+        """The ticket's work on a pool, so the loop never blocks on matching."""
+        if ticket.check is not None:
+            loop = asyncio.get_running_loop()
+            return loop.run_in_executor(None, self.compute, ticket)
+        return asyncio.gather(*(
+            asyncio.wrap_future(
+                self.engine.submit(old, new, job_id=job_id, trace=ticket.trace)
+            )
+            for old, new, job_id in ticket.jobs
+        ))
 
 
 # ---------------------------------------------------------------------------

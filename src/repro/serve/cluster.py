@@ -201,7 +201,7 @@ class ClusterServer:
         the first client request already has somewhere to go)."""
         self.lifecycle.bind(asyncio.get_running_loop())
         await self.supervisor.start()
-        await self.router.start(self.config.host, self.config.port)
+        await self.router.listen(self.config.host, self.config.port)
         self.port = self.router.port
 
     async def run(

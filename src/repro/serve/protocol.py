@@ -7,16 +7,23 @@ and every response body is a JSON object serialized deterministically
 (``sort_keys=True``) so clients, tests, and logs see byte-stable output.
 
 Errors are modelled as :class:`HttpError` — raised anywhere while handling
-a request, rendered once into a JSON error body by the app. Overload
-responses (429/503) carry a ``Retry-After`` header that
+a request, rendered once by :meth:`HttpError.response`. Overload responses
+(429/503) carry a ``Retry-After`` header that
 :class:`repro.serve.client.DiffServiceClient` honors.
+
+:class:`HttpShell` is the asyncio half that the worker
+(:class:`repro.serve.app.DiffServer`) and the cluster front
+(:class:`repro.serve.router.Router`) share: one keep-alive connection loop,
+one request framer, one response writer. Everything a request *means* lives
+in their transport-free cores.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import ParseError
 from ..core.serialization import tree_from_dict, tree_from_sexpr, tree_to_dict
@@ -50,6 +57,15 @@ STATUS_PHRASES = {
 #: Status codes the client treats as transient and retries.
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
+#: ``(status, payload, extra headers)``: what a core answers. The payload is
+#: a JSON object, or the raw bytes of a response the router passes through.
+Response = Tuple[int, Any, Dict[str, str]]
+
+
+def retry_after_header(seconds: float) -> str:
+    """The ``Retry-After`` value for a wait of *seconds*: whole, at least 1."""
+    return str(max(1, math.ceil(seconds)))
+
 
 class HttpError(Exception):
     """A request failure with an HTTP status, JSON-rendered by the app.
@@ -81,6 +97,13 @@ class HttpError(Exception):
         if self.retry_after is not None:
             out["retry_after_s"] = round(self.retry_after, 3)
         return out
+
+    def response(self) -> Response:
+        """The error as a response, with ``Retry-After`` when one is set."""
+        headers = {}
+        if self.retry_after is not None:
+            headers["Retry-After"] = retry_after_header(self.retry_after)
+        return self.status, self.body(), headers
 
 
 def dumps(payload: Any) -> bytes:
@@ -158,6 +181,147 @@ async def read_content_length_body(
             f"body of {length} bytes exceeds the {max_body_bytes}-byte limit",
         )
     return await reader.readexactly(length) if length else b""
+
+
+async def write_response(
+    writer: asyncio.StreamWriter,
+    response: Response,
+    keep_alive: bool,
+) -> None:
+    """Frame and send one response (JSON-encoding a dict payload)."""
+    status, payload, extra_headers = response
+    body = payload if isinstance(payload, bytes) else dumps(payload)
+    head = [
+        f"HTTP/1.1 {status} {STATUS_PHRASES.get(status, 'Unknown')}",
+        f"Server: {PROTOCOL}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    head.extend(f"{name}: {value}" for name, value in extra_headers.items())
+    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
+    await writer.drain()
+
+
+class HttpShell:
+    """The asyncio I/O shared by the worker server and the cluster router.
+
+    Subclasses set ``clock``, ``lifecycle`` (its ``draining`` flag closes
+    keep-alive sockets), ``max_body_bytes`` and ``COUNTER_PREFIX``, and
+    implement ``_count(name)`` and ``async _dispatch(method, path, headers,
+    body, peer) -> Response``. The shell frames requests, answers framing
+    errors, turns a handler bug into a 500 and writes every response.
+    """
+
+    COUNTER_PREFIX = ""
+    clock: Any
+    lifecycle: Any
+    max_body_bytes: int
+
+    def _init_shell(self) -> None:
+        self.server: Optional[asyncio.AbstractServer] = None
+        self.port: Optional[int] = None  #: actual bound port once started
+        #: Requests between first byte and last byte written (drains wait
+        #: on this: admission releases before the response is written).
+        self.active_requests = 0
+        self._conn_tasks: Set[asyncio.Task] = set()
+
+    def _count(self, name: str) -> None:
+        raise NotImplementedError
+
+    async def _dispatch(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes, peer: str
+    ) -> Response:
+        raise NotImplementedError
+
+    async def listen(self, host: str, port: int) -> None:
+        """Bind the listening socket (resolving port 0 to the real port)."""
+        self.server = await asyncio.start_server(self._serve_connection, host, port)
+        sockets = self.server.sockets or []
+        if sockets:
+            self.port = sockets[0].getsockname()[1]
+
+    async def close_connections(self) -> None:
+        """Cancel idle keep-alive connections once a drain has finished."""
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        peer = writer.get_extra_info("peername")
+        peer_id = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else "unknown"
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
+        try:
+            while await self._serve_request(reader, writer, peer_id):
+                pass
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            pass  # client went away mid-request; nothing to answer
+        except asyncio.CancelledError:
+            pass  # post-drain cleanup of an idle keep-alive socket
+        finally:
+            if task is not None:
+                self._conn_tasks.discard(task)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _serve_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, peer: str
+    ) -> bool:
+        """Read, dispatch, and answer one request; True to keep the socket."""
+        request_line = await reader.readline()
+        if not request_line.strip():
+            return False
+        started = self.clock.perf_counter()
+        self._count(self.COUNTER_PREFIX + "requests")
+        self.active_requests += 1
+        try:
+            keep_alive, response = await self._answer(reader, request_line, peer)
+            if self.lifecycle.draining:
+                keep_alive = False
+            self._responded(response[0], started)
+            await write_response(writer, response, keep_alive)
+            return keep_alive
+        finally:
+            self.active_requests -= 1
+
+    async def _answer(
+        self, reader: asyncio.StreamReader, request_line: bytes, peer: str
+    ) -> Tuple[bool, Response]:
+        try:
+            method, path, version = parse_request_line(request_line)
+            headers = await read_headers(reader)
+            body = b""
+            if method in ("POST", "PUT"):
+                body = await read_content_length_body(
+                    reader, headers, self.max_body_bytes
+                )
+        except HttpError as exc:
+            if exc.status == 413:
+                self._count("rejected_too_large")
+            # The request was never fully read, so the socket is mid-stream
+            # and cannot be reused.
+            return False, exc.response()
+        wants_close = headers.get("connection", "").lower() == "close"
+        keep_alive = version == "HTTP/1.1" and not wants_close
+        try:
+            return keep_alive, await self._dispatch(method, path, headers, body, peer)
+        except HttpError as exc:
+            return keep_alive, exc.response()
+        except Exception as exc:  # never let a handler bug kill the server
+            self._count(self.COUNTER_PREFIX + "internal_errors")
+            message = f"{type(exc).__name__}: {exc}"
+            return keep_alive, HttpError(500, "internal", message).response()
+
+    def _responded(self, status: int, started: float) -> None:
+        self._count(f"{self.COUNTER_PREFIX}responses_{status // 100}xx")
 
 
 async def fetch_json(

@@ -24,6 +24,12 @@ truncated response) is **replayed** on the next distinct worker along the
 ring. The ring handles re-ranging naturally — removing a worker reassigns
 only that worker's arc to its ring successors, everything else keeps its
 shard (and its warm cache).
+
+The routing decisions live in :class:`ProxyCore`, which never touches a
+socket: it is handed a ``send`` for each leg. :class:`Router` is its
+asyncio shell (HTTP legs to worker processes, fan-out of ``/metrics`` and
+``/v1/trace``); the simulator's cluster (:mod:`repro.simtest.scenario`)
+runs the same core with in-process legs.
 """
 
 from __future__ import annotations
@@ -46,13 +52,10 @@ from ..simtest.clock import SYSTEM_CLOCK
 from .lifecycle import Lifecycle
 from .protocol import (
     PROTOCOL,
-    STATUS_PHRASES,
     HttpError,
-    dumps,
+    HttpShell,
     fetch_json,
-    parse_request_line,
     parse_status_line,
-    read_content_length_body,
     read_headers,
 )
 
@@ -151,13 +154,117 @@ def affinity_key(path: str, headers: Dict[str, str], body: bytes) -> str:
     return hashlib.sha1(body if body else path.encode("utf-8")).hexdigest()
 
 
-class Router:
-    """The cluster's front listener: parse, route, proxy, fail over.
+#: Transport failures that mean "this backend is gone, replay elsewhere".
+FAILOVER_ERRORS = (OSError, asyncio.IncompleteReadError, asyncio.TimeoutError)
+
+#: Sends one forwarding leg: ``(worker id, backend, headers) -> (status, body)``.
+Send = Callable[[str, Any, Dict[str, str]], Awaitable[Tuple[int, Any]]]
+
+
+class ProxyCore:
+    """Which workers serve a request, in what order, and what a failure means.
+
+    Transport-free: :meth:`forward` computes the affinity key, walks the
+    ring chain, opens one ``router.proxy`` span per leg, builds each leg's
+    forwarded headers and hands them to an injected ``send``; a
+    :data:`FAILOVER_ERRORS` failure counts a failover, tells
+    ``on_backend_failure`` and replays on the next worker, and an exhausted
+    chain is the ``no_backend`` 503. ``backends`` maps a worker id to its
+    address: a port for :class:`Router`, a simulated worker in
+    :mod:`repro.simtest.scenario`.
+    """
+
+    def __init__(
+        self,
+        ring: HashRing,
+        backends: Dict[str, Any],
+        lifecycle: Any,
+        on_backend_failure: Optional[Callable[[str], None]] = None,
+        clock: Optional[Any] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        self.ring = ring
+        self.backends = backends
+        self.lifecycle = lifecycle
+        self.on_backend_failure = on_backend_failure
+        self.clock = clock if clock is not None else SYSTEM_CLOCK
+        # Propagate-only by default: the router never originates traces,
+        # it records one ``router.proxy`` span per forwarding attempt for
+        # requests that arrive with a valid X-Trace-Id.
+        self.tracer = tracer if tracer is not None else Tracer(clock=self.clock)
+        #: Counters surfaced under ``cluster.router``.
+        self.counters: Dict[str, int] = {}
+
+    def _count(self, name: str) -> None:
+        self.counters[name] = self.counters.get(name, 0) + 1
+
+    async def forward(
+        self, path: str, headers: Dict[str, str], body: bytes, send: Send
+    ) -> Tuple[int, Any, Dict[str, str]]:
+        """Proxy one compute request along its chain; the first answer wins."""
+        if self.lifecycle.draining:
+            self._count("rejected_draining")
+            raise HttpError(
+                503, "draining", "cluster is draining; retry elsewhere", retry_after=1.0
+            )
+        chain = self.ring.assign_chain(affinity_key(path, headers, body))
+        ctx = extract_trace_context(headers)
+        forwarded = {name: headers[name] for name in FORWARDED_HEADERS if name in headers}
+        last_error = "no live workers"
+        for position, worker_id in enumerate(chain):
+            backend = self.backends.get(worker_id)
+            if backend is None:
+                continue
+            leg_headers = dict(forwarded)
+            span = None
+            if ctx is not None:
+                # One span per forwarding attempt: a replayed request shows
+                # its whole failover chain. The worker's parent becomes this
+                # proxy span, while the trace id passes through verbatim.
+                span = self.tracer.start_span(
+                    "router.proxy",
+                    kind="router",
+                    trace_id=ctx[0],
+                    parent_id=ctx[1],
+                    meta={"worker": worker_id, "position": position},
+                )
+                leg_headers[TRACE_ID_HEADER.lower()] = ctx[0]
+                leg_headers[SPAN_ID_HEADER.lower()] = span.span_id
+            try:
+                status, reply = await send(worker_id, backend, leg_headers)
+            except FAILOVER_ERRORS as exc:
+                # The backend died under the request. Compute endpoints are
+                # pure functions of the body, so replaying on the next ring
+                # successor is safe — the client never sees the crash.
+                self._count("proxy_failovers")
+                last_error = f"{worker_id}: {type(exc).__name__}: {exc}"
+                if span is not None:
+                    span.annotate(error=type(exc).__name__).close("failover")
+                if self.on_backend_failure is not None:
+                    self.on_backend_failure(worker_id)
+                continue
+            self._count("proxied")
+            if position > 0:
+                self._count("proxied_rerouted")
+            if span is not None:
+                span.annotate(status=status).close("ok")
+            return status, reply, {"X-Worker-Id": worker_id}
+        self._count("rejected_no_backend")
+        raise HttpError(
+            503,
+            "no_backend",
+            f"no worker could serve the request ({last_error})",
+            retry_after=0.5,
+        )
+
+
+class Router(ProxyCore, HttpShell):
+    """The cluster's front listener: the proxy core behind a socket.
 
     GET ``/healthz`` and ``/metrics`` are answered by the router itself
     (cluster topology / merged per-worker snapshots via the injected
-    callbacks); everything else is proxied to the affinity-assigned worker
-    with replay-on-failure across the ring chain.
+    callbacks); everything else goes through :meth:`ProxyCore.forward`,
+    whose legs are real HTTP exchanges with the worker processes.
     """
 
     def __init__(
@@ -176,224 +283,38 @@ class Router:
         faults: Optional[Any] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.ring = ring
-        self.ports = ports
-        self.lifecycle = lifecycle
+        super().__init__(
+            ring, ports, lifecycle, on_backend_failure, clock=clock, tracer=tracer
+        )
         self.health_payload = health_payload
         self.merge_metrics = merge_metrics
-        self.on_backend_failure = on_backend_failure
         self.backend_host = backend_host
         self.max_body_bytes = max_body_bytes
         self.connect_timeout = connect_timeout
         self.proxy_timeout = proxy_timeout
-        self.clock = clock if clock is not None else SYSTEM_CLOCK
         #: Optional armed FaultInjector for the proxy leg (None = no-op).
         self.faults = faults
-        # Propagate-only by default: the router never originates traces,
-        # it records one ``router.proxy`` span per forwarding attempt for
-        # requests that arrive with a valid X-Trace-Id.
-        self.tracer = tracer if tracer is not None else Tracer(clock=self.clock)
-        #: Loop-thread-only counters surfaced under ``cluster.router``.
-        self.counters: Dict[str, int] = {}
-        self.active_requests = 0
-        self.server: Optional[asyncio.AbstractServer] = None
-        self.port: Optional[int] = None
-        self._conn_tasks: set = set()
         self._started = self.clock.monotonic()
+        self._init_shell()
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    # ------------------------------------------------------------------
-    # Serve loop (same connection discipline as app.DiffServer)
-    # ------------------------------------------------------------------
-    async def start(self, host: str, port: int) -> None:
-        self.server = await asyncio.start_server(self._handle_connection, host, port)
-        sockets = self.server.sockets or []
-        if sockets:
-            self.port = sockets[0].getsockname()[1]
-
-    async def close_connections(self) -> None:
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while True:
-                keep_alive = await self._handle_one_request(reader, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
-            pass  # client went away mid-request
-        except asyncio.CancelledError:
-            pass  # post-drain cleanup of idle keep-alive sockets
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_one_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        request_line = await reader.readline()
-        if not request_line.strip():
-            return False
-        self._count("requests")
-        self.active_requests += 1
-        try:
-            return await self._process(reader, writer, request_line)
-        finally:
-            self.active_requests -= 1
-
-    async def _process(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        request_line: bytes,
-    ) -> bool:
-        keep_alive = True
-        raw_response: Optional[bytes] = None
-        extra: Dict[str, str] = {}
-        try:
-            method, path, version = parse_request_line(request_line)
-            headers = await read_headers(reader)
-            wants_close = headers.get("connection", "").lower() == "close"
-            keep_alive = version == "HTTP/1.1" and not wants_close
-            body = b""
-            if method in ("POST", "PUT"):
-                body = await read_content_length_body(
-                    reader, headers, self.max_body_bytes
-                )
-            status, payload, extra = await self._dispatch(method, path, headers, body)
-            if isinstance(payload, bytes):
-                raw_response = payload
-            else:
-                raw_response = dumps(payload)
-        except HttpError as exc:
-            status = exc.status
-            raw_response = dumps(exc.body())
-            if exc.retry_after is not None:
-                extra["Retry-After"] = str(max(1, int(exc.retry_after + 0.999)))
-            if exc.status in (400, 411, 413, 501):
-                keep_alive = False  # request framing is unrecoverable
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # never let a router bug kill the front
-            self._count("internal_errors")
-            status = 500
-            raw_response = dumps(
-                {
-                    "error": "internal",
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "protocol": PROTOCOL,
-                }
-            )
-        if self.lifecycle.draining:
-            keep_alive = False
-        self._count(f"responses_{status // 100}xx")
-        phrase = STATUS_PHRASES.get(status, "Unknown")
-        head = [
-            f"HTTP/1.1 {status} {phrase}",
-            f"Server: {PROTOCOL}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(raw_response)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra.items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + raw_response)
-        await writer.drain()
-        return keep_alive
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
     async def _dispatch(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
+        self, method: str, path: str, headers: Dict[str, str], body: bytes, peer: str
     ) -> Tuple[int, Any, Dict[str, str]]:
-        if path == "/healthz":
+        if path in ("/healthz", "/metrics") or path.startswith("/v1/trace/"):
             if method != "GET":
                 raise HttpError(405, "method_not_allowed", f"{path} only accepts GET")
-            return 200, self.health_payload(), {}
-        if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "method_not_allowed", f"{path} only accepts GET")
-            return 200, await self.aggregate_metrics(), {}
-        if path.startswith("/v1/trace/"):
-            if method != "GET":
-                raise HttpError(405, "method_not_allowed", f"{path} only accepts GET")
+            if path == "/healthz":
+                return 200, self.health_payload(), {}
+            if path == "/metrics":
+                return 200, await self.aggregate_metrics(), {}
             return 200, await self.aggregate_trace(path[len("/v1/trace/"):]), {}
-        if self.lifecycle.draining:
-            self._count("rejected_draining")
-            raise HttpError(
-                503, "draining", "cluster is draining; retry elsewhere", retry_after=1.0
-            )
-        return await self._proxy(method, path, headers, body)
 
-    async def _proxy(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, bytes, Dict[str, str]]:
-        key = affinity_key(path, headers, body)
-        chain = self.ring.assign_chain(key)
-        last_error = "no live workers"
-        ctx = extract_trace_context(headers)
-        for position, worker_id in enumerate(chain):
-            port = self.ports.get(worker_id)
-            if port is None:
-                continue
-            span = None
-            trace = None
-            if ctx is not None:
-                # One span per forwarding attempt: a replayed request shows
-                # its whole failover chain. The worker's parent becomes this
-                # proxy span, while the trace id passes through verbatim.
-                span = self.tracer.start_span(
-                    "router.proxy",
-                    kind="router",
-                    trace_id=ctx[0],
-                    parent_id=ctx[1],
-                    meta={"worker": worker_id, "position": position},
-                )
-                trace = (ctx[0], span.span_id)
-            try:
-                status, resp_body = await self._forward(
-                    port, method, path, headers, body,
-                    worker_id=worker_id, trace=trace,
-                )
-            except (OSError, asyncio.IncompleteReadError, asyncio.TimeoutError) as exc:
-                # The backend died under the request. Compute endpoints are
-                # pure functions of the body, so replaying on the next ring
-                # successor is safe — the client never sees the crash.
-                self._count("proxy_failovers")
-                last_error = f"{worker_id}: {type(exc).__name__}: {exc}"
-                if span is not None:
-                    span.annotate(error=type(exc).__name__).close("failover")
-                if self.on_backend_failure is not None:
-                    self.on_backend_failure(worker_id)
-                continue
-            self._count("proxied")
-            if position > 0:
-                self._count("proxied_rerouted")
-            if span is not None:
-                span.annotate(status=status).close("ok")
-            return status, resp_body, {"X-Worker-Id": worker_id}
-        self._count("rejected_no_backend")
-        raise HttpError(
-            503,
-            "no_backend",
-            f"no worker could serve the request ({last_error})",
-            retry_after=0.5,
-        )
+        async def send(
+            worker_id: str, port: int, leg_headers: Dict[str, str]
+        ) -> Tuple[int, bytes]:
+            return await self._forward(port, method, path, leg_headers, body, worker_id)
+
+        return await self.forward(path, headers, body, send)
 
     async def _forward(
         self,
@@ -402,14 +323,13 @@ class Router:
         path: str,
         headers: Dict[str, str],
         body: bytes,
-        worker_id: Optional[str] = None,
-        trace: Optional[Tuple[str, str]] = None,
+        worker_id: str,
     ) -> Tuple[int, bytes]:
         """One fully-framed request/response exchange with a worker."""
         if self.faults is not None:
             # Each injected failure surfaces as exactly the exception class
-            # the real transport would raise, so _proxy's failover handling
-            # is the code under test, not a shortcut around it.
+            # the real transport would raise, so the proxy core's failover
+            # handling is the code under test, not a shortcut around it.
             if self.faults.fire("conn_refused", target=worker_id):
                 raise ConnectionRefusedError(
                     111, f"injected conn_refused to {worker_id}"
@@ -431,14 +351,7 @@ class Router:
                 "Content-Type: application/json",
                 f"Content-Length: {len(body)}",
             ]
-            for name in FORWARDED_HEADERS:
-                if name in headers:
-                    head.append(f"{name}: {headers[name]}")
-            if trace is not None:
-                # The trace id travels verbatim; the parent span becomes
-                # this proxy leg so the worker hangs beneath it.
-                head.append(f"{TRACE_ID_HEADER}: {trace[0]}")
-                head.append(f"{SPAN_ID_HEADER}: {trace[1]}")
+            head.extend(f"{name}: {value}" for name, value in headers.items())
             writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
             await writer.drain()
             status_line = await asyncio.wait_for(reader.readline(), self.proxy_timeout)
@@ -465,7 +378,7 @@ class Router:
     # ------------------------------------------------------------------
     async def aggregate_metrics(self) -> Dict[str, Any]:
         """Fan ``GET /metrics`` out to every live worker and merge."""
-        live = [(wid, port) for wid, port in sorted(self.ports.items())]
+        live = [(wid, port) for wid, port in sorted(self.backends.items())]
         fetches: List[Awaitable] = [
             fetch_json(self.backend_host, port, "/metrics", timeout=self.connect_timeout)
             for _, port in live
@@ -493,7 +406,7 @@ class Router:
         if not is_valid_trace_id(trace_id):
             raise HttpError(400, "bad_trace_id", f"not a trace id: {trace_id!r}")
         trace_id = trace_id.lower()
-        live = [(wid, port) for wid, port in sorted(self.ports.items())]
+        live = [(wid, port) for wid, port in sorted(self.backends.items())]
         fetches: List[Awaitable] = [
             fetch_json(
                 self.backend_host,

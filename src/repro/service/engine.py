@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
@@ -359,7 +358,8 @@ class DiffEngine:
         new: TreeSource,
         trace: Optional[Tuple[str, Optional[str]]] = None,
     ) -> JobResult:
-        start = time.perf_counter()
+        clock = self.metrics.clock  # virtual under a simulated clock
+        start = clock()
         self.metrics.incr("jobs_submitted")
         result = JobResult(job_id=job_id)
         if trace is None:
@@ -387,7 +387,7 @@ class DiffEngine:
             result.source = None
             result.script = None
             result.error = f"{type(exc).__name__}: {exc}"
-        result.wall_ms = (time.perf_counter() - start) * 1000.0
+        result.wall_ms = (clock() - start) * 1000.0
         if result.status == "ok":
             self.metrics.incr("jobs_succeeded")
             self.metrics.incr("ops_emitted", result.operations)

@@ -170,10 +170,11 @@ class ServiceMetrics:
     def __init__(self, clock: Optional[object] = None) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {name: 0 for name in STANDARD_COUNTERS}
-        # Accepts a Clock object or a bare () -> float monotonic callable;
-        # drives the first_at/last_at stamps on every histogram.
-        self._clock = monotonic_callable(clock)
-        self.wall_ms = LatencyHistogram(clock=self._clock)
+        #: A () -> float monotonic reader (from a Clock object or a bare
+        #: callable): the first_at/last_at stamps on every histogram, and
+        #: the engine times its jobs on it.
+        self.clock = monotonic_callable(clock)
+        self.wall_ms = LatencyHistogram(clock=self.clock)
         self._stages: Dict[str, LatencyHistogram] = {}
         self.verify = VerifyReport()
 
@@ -194,7 +195,7 @@ class ServiceMetrics:
         with self._lock:
             histogram = self._stages.get(stage)
             if histogram is None:
-                histogram = self._stages[stage] = LatencyHistogram(clock=self._clock)
+                histogram = self._stages[stage] = LatencyHistogram(clock=self.clock)
             histogram.observe(milliseconds)
 
     def absorb_verify_report(self, report: VerifyReport) -> None:
@@ -212,7 +213,7 @@ class ServiceMetrics:
     def reset(self) -> None:
         with self._lock:
             self._counters = {name: 0 for name in STANDARD_COUNTERS}
-            self.wall_ms = LatencyHistogram(clock=self._clock)
+            self.wall_ms = LatencyHistogram(clock=self.clock)
             self._stages = {}
             self.verify = VerifyReport()
 

@@ -10,10 +10,11 @@ Layers (each usable on its own):
   with named injection points wired into the client transport, router
   proxy leg, supervisor health checker, and ``ScriptCache``.
 * :mod:`repro.simtest.events` — the byte-identical-per-seed event log.
-* :mod:`repro.simtest.scenario` — an in-process simulated cluster (real
-  admission/ring/retry/metrics code, no sockets) replaying scripted
-  request+fault timelines under ``SimClock`` with declarative invariants
-  and fault-plan shrinking.
+* :mod:`repro.simtest.scenario` — an in-process simulated cluster (the
+  production worker and proxy cores, the real engine and the real client
+  retry loop, no sockets) replaying scripted request+fault timelines
+  under ``SimClock`` with declarative invariants and fault-plan
+  shrinking.
 * :mod:`repro.simtest.scenarios` — the named scenario matrix behind
   ``repro-diff simtest``.
 

@@ -12,12 +12,13 @@ Injection points (the full registry is :data:`INJECTION_POINTS`):
 
 ====================  ======================================================
 ``conn_refused``      transport raises ``ConnectionRefusedError`` before the
-                      request is written (client transport, router proxy leg)
+                      request is written (client transport, router proxy
+                      leg, sim worker process boundary)
 ``conn_reset_mid_body``  peer drops the connection after admission, mid-
                       response (``ConnectionResetError``)
 ``slow_response``     service time inflated by ``magnitude`` seconds
 ``worker_crash``      worker process dies (supervisor health checker / sim
-                      worker mid-request)
+                      worker after the real job ran, losing the response)
 ``corrupt_cache_entry``  a ScriptCache hit is detected as corrupt, dropped,
                       and recomputed (self-healing miss)
 ``clock_jump``        the clock steps forward ``magnitude`` seconds (fired

@@ -1,16 +1,20 @@
 """The scenario runner: a simulated cluster under virtual time.
 
 This is deterministic simulation testing for the serve/cluster stack. The
-topology is in-process — no sockets, no subprocesses — but deliberately
-*not* a mock of the interesting code: every simulated worker runs the real
-:class:`~repro.serve.admission.AdmissionController` (bounded queue, token
-buckets, deadlines), the real :class:`~repro.service.metrics.ServiceMetrics`
-and :class:`~repro.service.cache.ScriptCache`; the cluster routes with the
-real :class:`~repro.serve.router.HashRing` + :func:`~repro.serve.router
-.affinity_key` and mirrors the router's replay-along-the-chain failover;
-and the simulated client *is* :class:`~repro.serve.client.DiffServiceClient`
-with only its socket transport overridden — so the retry policy under test
-is the production one, byte for byte.
+topology is in-process — no sockets, no subprocesses — but the request
+handling is the production code, not a model of it: every simulated
+worker is a real :class:`~repro.serve.app.DiffServer` whose transport-free
+core (routing, admission, deadlines, spans, error bodies) answers each
+request and whose real :class:`~repro.service.engine.DiffEngine` runs the
+pipeline on small seeded trees; the cluster forwards through the real
+:class:`~repro.serve.router.ProxyCore` (affinity key, ring chain, failover,
+``no_backend``); and the simulated client *is*
+:class:`~repro.serve.client.DiffServiceClient` with only its socket
+transport overridden — so the retry policy under test is the production
+one, byte for byte. Only what belongs to transports and processes is
+simulated: the virtual cost of a request, crashes and restarts, health
+ticks, and the ``conn_refused`` / ``slow_response`` / ``worker_crash``
+injection points.
 
 A :class:`Scenario` is a scripted timeline (requests, kills, drains,
 slot-occupancy, clock jumps) plus a seeded
@@ -35,15 +39,21 @@ Invariants (select per scenario via ``Scenario.invariants``):
     ``max_retry_after``) and never exceeds ``max(backoff_cap,
     max_retry_after)``.
 ``drain_integrity``
-    A request admitted before the drain completes with 200; requests first
-    dispatched while draining never succeed; no admission slot is leaked
-    (in-flight returns to exactly the occupied count after every step and
-    to zero at the end).
+    Requests first dispatched while draining never succeed; no admission
+    slot is leaked (in-flight returns to exactly the occupied count after
+    every step and at the end).
 ``metrics_conservation``
     Per worker incarnation, ``jobs_submitted == jobs_succeeded +
     jobs_timed_out + jobs_failed``; the cross-incarnation merge via the
     real :func:`~repro.service.metrics.merge_snapshots` preserves the
     sums; and workers report at least as many successes as clients saw.
+``trace_complete``
+    Every sampled 2xx request left a fully-closed, single-rooted, nested
+    span tree (:func:`~repro.obs.export.validate_trace`).
+``script_parity``
+    Every 2xx ``/v1/diff`` script, after
+    :func:`~repro.service.cache.canonicalize_script`, is byte-identical to
+    :meth:`~repro.pipeline.DiffPipeline.run` on the same pair.
 ``convergence``
     Every scripted request eventually succeeded (retries absorbed all
     injected trouble).
@@ -59,19 +69,34 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.serialization import tree_from_dict, tree_to_dict
+from ..editscript.script import EditScript
 from ..obs.export import validate_trace
-from ..obs.trace import Tracer, extract_trace_context
-from ..serve.admission import AdmissionController
+from ..obs.trace import Tracer
+from ..pipeline import DiffConfig, DiffPipeline
+from ..serve.app import DiffServer, ServeConfig, Ticket
 from ..serve.client import DiffServiceClient, ServiceError
-from ..serve.router import HashRing, affinity_key
-from ..service.cache import ScriptCache
-from ..service.metrics import ServiceMetrics, merge_snapshots
+from ..serve.lifecycle import Lifecycle
+from ..serve.protocol import HttpError, Response
+from ..serve.router import HashRing, ProxyCore
+from ..service.cache import ScriptCache, canonicalize_script, instantiate_script
+from ..service.engine import DiffEngine
+from ..service.metrics import merge_snapshots
+from ..workload import DocumentSpec, MutationEngine, generate_document
 from .clock import SimClock
 from .events import EventLog
 from .faults import FaultInjector, FaultPlan
 
 #: Stride mixed into per-client rng seeds (mirrors verify.fuzz).
 _SEED_STRIDE = 1_000_003
+
+#: Shape of the small seeded documents every simulated request diffs, and
+#: the edits between a request's old and new snapshot.
+SIM_DOCUMENT = DocumentSpec(
+    sections=2, paragraphs_per_section=2, sentences_per_paragraph=3,
+    words_per_sentence=5,
+)
+SIM_EDITS = 3
 
 
 def derive_rng(seed: int, name: str) -> random.Random:
@@ -119,6 +144,7 @@ class Scenario:
         "drain_integrity",
         "metrics_conservation",
         "trace_complete",
+        "script_parity",
     )
 
     def describe(self) -> Dict[str, Any]:
@@ -148,6 +174,7 @@ class RequestRecord:
     sleeps: List[float] = field(default_factory=list)
     hints: List[Dict[str, Any]] = field(default_factory=list)
     worker: Optional[str] = None  #: X-Worker-Id that served the success
+    script: Optional[Dict[str, Any]] = None  #: the served script of a 2xx
     trace_id: Optional[str] = None  #: minted when the request was sampled
     draining_at_start: bool = False
     live_at_end: int = 0
@@ -161,14 +188,30 @@ class RequestRecord:
 # ---------------------------------------------------------------------------
 # Simulated topology
 # ---------------------------------------------------------------------------
-class SimWorker:
-    """One in-process worker shard: real admission, metrics, and cache.
+def run_inline(coroutine: Any) -> Any:
+    """Run a coroutine whose awaits all complete inline (no event loop)."""
+    try:
+        coroutine.send(None)
+    except StopIteration as done:
+        return done.value
+    coroutine.close()
+    raise RuntimeError("a simulated transport suspended on an event loop")
 
-    A *crash* retires the current incarnation — its metrics snapshot
-    (in-flight work counted as ``jobs_failed``, exactly what a dead
-    process loses) is kept for the conservation invariant, and a restart
-    brings up a fresh admission controller and a **cold** cache, just like
-    a respawned subprocess.
+
+class SimWorker:
+    """One worker process: a real :class:`~repro.serve.app.DiffServer`.
+
+    Each incarnation is a fresh server (admission, metrics, a real
+    :class:`~repro.service.engine.DiffEngine` over a cold
+    :class:`~repro.service.cache.ScriptCache` carrying the fault injector)
+    on the shared :class:`SimClock`; requests go through its
+    transport-free core (``begin`` / ``compute`` / ``finish``) inline, so
+    every answer is the production one and every 2xx script comes from the
+    real pipeline. What stays here is what belongs to the process: the
+    virtual cost of a request, the ``conn_refused`` / ``slow_response`` /
+    ``worker_crash`` injection points, and crashes. A crash retires the
+    incarnation's metrics (occupied slots counted as ``jobs_failed``:
+    that work dies with the process) for the conservation invariant.
     """
 
     def __init__(self, worker_id: str, spec: Scenario, clock: SimClock,
@@ -188,31 +231,38 @@ class SimWorker:
         self._fresh_incarnation()
 
     def _fresh_incarnation(self) -> None:
-        self.metrics = ServiceMetrics(clock=self.clock)
-        self.admission = AdmissionController(
-            queue_capacity=self.spec.queue_capacity,
-            rate=self.spec.rate,
-            burst=self.spec.burst,
-            default_deadline_ms=self.spec.default_deadline_ms,
-            mean_wall_ms=lambda: self.metrics.wall_ms.mean(),
+        spec = self.spec
+        engine = DiffEngine(
+            workers=1,
+            cache=ScriptCache(capacity=spec.cache_capacity, faults=self.faults),
+            tracer=self.tracer,
+        )
+        self.server = DiffServer(
+            ServeConfig(
+                queue_capacity=spec.queue_capacity,
+                rate=spec.rate,
+                burst=spec.burst,
+                deadline_ms=spec.default_deadline_ms,
+            ),
+            engine=engine,
             clock=self.clock,
         )
-        self.cache = ScriptCache(capacity=self.spec.cache_capacity, faults=self.faults)
         self.occupied = 0
 
     # -- lifecycle -----------------------------------------------------
     def crash(self) -> None:
         if self.state == "crashed":
             return
-        lost = self.admission.in_flight
-        if lost:
-            # Work that dies with the process: terminally failed.
-            self.metrics.incr("jobs_failed", lost)
+        if self.occupied:
+            # Occupier work dies with the process: terminally failed. Real
+            # jobs already closed their own accounting in the engine.
+            self.server.metrics.incr("jobs_failed", self.occupied)
         self.state = "crashed"
         self.retired.append(self.snapshot())
         self.log.emit(
             "worker_crash", self.clock.monotonic(),
-            worker=self.worker_id, incarnation=self.incarnation, lost_in_flight=lost,
+            worker=self.worker_id, incarnation=self.incarnation,
+            lost_in_flight=self.server.admission.in_flight,
         )
 
     def restart(self) -> None:
@@ -225,227 +275,109 @@ class SimWorker:
         )
 
     def snapshot(self) -> Dict[str, Any]:
-        snap = self.metrics.snapshot()
-        snap["cache"] = self.cache.stats()
-        return snap
+        return self.server.metrics_payload()
 
     # -- scripted occupancy (stands in for concurrent long jobs) -------
     def occupy(self, slots: int, hold_s: float) -> int:
         """Grab *slots* admission slots, releasing them after ``hold_s``."""
         taken = 0
-        incarnation = self.incarnation
+        server = self.server
         for index in range(slots):
-            decision = self.admission.try_admit(f"occupier-{self.worker_id}-{index}")
+            decision = server.admission.try_admit(f"occupier-{self.worker_id}-{index}")
             if not decision.admitted:
                 break
             taken += 1
             self.occupied += 1
-            self.metrics.incr("jobs_submitted")
+            server.metrics.incr("jobs_submitted")
 
             def _release() -> None:
-                if self.incarnation != incarnation or self.state == "crashed":
+                if self.server is not server or self.state == "crashed":
                     return  # the crash already accounted for this slot
                 self.occupied -= 1
                 self.occupier_successes += 1
-                self.metrics.incr("jobs_succeeded")
-                self.admission.release()
+                server.metrics.incr("jobs_succeeded")
+                server.admission.release()
 
             self.clock.call_later(hold_s, _release)
         return taken
 
-    # -- request handling ----------------------------------------------
+    # -- request handling (the process around the production core) -----
     def handle(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Tuple[int, Dict[str, Any]]:
+        """One leg: the production core answers, the process adds cost and faults."""
         if self.state != "up":
             raise ConnectionRefusedError(111, f"{self.worker_id} is down")
-        if self.faults is not None:
-            if self.faults.fire("conn_refused", target=self.worker_id):
-                raise ConnectionRefusedError(
-                    111, f"injected conn_refused at {self.worker_id}"
-                )
-        ctx = extract_trace_context(headers) if self.tracer is not None else None
-        span = None
-        if ctx is not None:
-            span = self.tracer.start_span(
-                "worker",
-                kind="worker",
-                trace_id=ctx[0],
-                parent_id=ctx[1],
-                meta={"path": path, "worker": self.worker_id},
-            )
-        try:
-            status, payload, extra = self._serve(method, path, headers, body, span)
-        except BaseException:
-            # The process died mid-request: whatever it was doing is lost.
-            if span is not None:
-                span.close("lost")
-            raise
-        if span is not None:
-            extra = dict(extra)
-            extra["X-Trace-Id"] = ctx[0]
-            span.annotate(status=status)
-            if status < 400:
-                span.close("ok")
-            elif status == 429:
-                span.close("refused")
-            else:
-                span.close("error")
-        return status, payload, extra
-
-    def _serve(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        span: Optional[Any] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        try:
-            data = json.loads(body.decode("utf-8")) if body else {}
-        except ValueError:
-            return 400, {"error": "bad_json", "message": "unparseable body"}, {}
-        client = headers.get("x-client-id", "anon")
-        doc = str(data.get("id", ""))
-
-        admission_span = (
-            span.child("admission", kind="worker") if span is not None else None
-        )
-        decision = self.admission.try_admit(client, span=admission_span)
-        if admission_span is not None:
-            admission_span.close("ok" if decision.admitted else "refused")
-        if not decision.admitted:
-            self.metrics.incr(f"rejected_{decision.reason}")
-            return (
-                429,
-                {
-                    "error": decision.reason,
-                    "retry_after_s": decision.retry_after,
-                    "message": f"{self.worker_id} refused admission",
-                },
-                {"Retry-After": str(max(1, int(decision.retry_after + 0.999)))},
-            )
-
-        incarnation = self.incarnation
-        metrics, admission, cache = self.metrics, self.admission, self.cache
-        metrics.incr("jobs_submitted")
-        deadline = admission.deadline(data.get("deadline_ms"))
-        started = self.clock.monotonic()
-        engine_span = span.child("engine", kind="engine") if span is not None else None
-        try:
-            if deadline.expired:
-                # The whole budget went to queueing (or a clock jump ate it).
-                metrics.incr("jobs_timed_out")
-                if engine_span is not None:
-                    engine_span.annotate(job_status="timeout").close("error")
-                return 504, {"error": "deadline_exceeded", "message": ""}, {}
-
-            service = self.spec.service_time
-            key = (doc or "anon", doc or "anon", "sim")
-            hit = cache.get(key) if data.get("cacheable", True) and doc else None
-            if hit is not None:
-                metrics.incr("cache_hits")
-                service *= self.spec.hit_factor
-            elif doc:
-                metrics.incr("cache_misses")
-            if self.faults is not None:
-                fault = self.faults.fire("slow_response", target=self.worker_id)
-                if fault is not None:
-                    service += fault.magnitude
-
-            crash_fault = (
-                self.faults.fire("worker_crash", target=self.worker_id)
-                if self.faults is not None
-                else None
-            )
-            if crash_fault is not None:
-                # Die halfway through the service time, losing the request.
-                self.clock.sleep(service * 0.5)
-                self.crash()
-                raise ConnectionResetError(
-                    104, f"{self.worker_id} crashed mid-request"
-                )
-
+        faults = self.faults
+        if faults is not None and faults.fire("conn_refused", target=self.worker_id):
+            raise ConnectionRefusedError(111, f"injected conn_refused at {self.worker_id}")
+        server = self.server
+        ticket = server.begin(method, path, headers, body, peer="sim")
+        if not isinstance(ticket, Ticket):
+            return ticket[0], ticket[1]
+        outcome = server.compute(ticket)
+        cost = self.spec.service_time
+        if isinstance(outcome, list) and all(r.source == "cache" for r in outcome):
+            cost *= self.spec.hit_factor
+        if faults is not None:
+            slow = faults.fire("slow_response", target=self.worker_id)
+            cost += slow.magnitude if slow is not None else 0.0
+        if faults is not None and faults.fire("worker_crash", target=self.worker_id):
+            # Die halfway through the request; the response is lost.
+            self.clock.sleep(cost * 0.5)
+            self.crash()
+        else:
             # Timers may fire inside this sleep (scripted kills, drains,
-            # occupier releases) — re-check our incarnation afterwards.
-            self.clock.sleep(service)
-            if self.incarnation != incarnation or self.state != "up":
-                raise ConnectionResetError(
-                    104, f"{self.worker_id} crashed mid-request"
-                )
-
-            if deadline.expired:
-                metrics.incr("jobs_timed_out")
-                if engine_span is not None:
-                    engine_span.annotate(job_status="timeout").close("error")
-                return 504, {"error": "deadline_exceeded", "message": ""}, {}
-            if hit is None and doc and data.get("cacheable", True):
-                cache.put(key, {"records": [], "doc": doc})
-            metrics.incr("jobs_succeeded")
-            metrics.observe_wall((self.clock.monotonic() - started) * 1000.0)
-            if engine_span is not None:
-                # A sim worker sleeps its service time instead of running
-                # the pipeline, so its engine span has no stage children.
-                engine_span.annotate(source="cache" if hit else "computed")
-                engine_span.close("ok")
-            return (
-                200,
-                {"id": doc, "worker": self.worker_id, "cache": bool(hit)},
-                {},
-            )
-        except BaseException:
-            # Crash mid-request: the engine work dies with the process.
-            if engine_span is not None:
-                engine_span.close("lost")
-            raise
-        finally:
-            if self.incarnation == incarnation and self.state == "up":
-                admission.release()
-            # else: the crash snapshot already counted this slot as failed.
+            # occupier releases): the process may not survive it.
+            self.clock.sleep(cost)
+        if self.server is not server or self.state != "up":
+            server.release(ticket, "lost")
+            raise ConnectionResetError(104, f"{self.worker_id} crashed mid-request")
+        if ticket.deadline.expired:
+            outcome = None  # the transport's wait gave up first
+        status, payload, _ = server.finish(ticket, outcome)
+        return status, payload
 
 
-class SimCluster:
-    """The routing layer of the sim: real ring, replayed failover.
+class SimCluster(ProxyCore):
+    """The sim's router: the production :class:`~repro.serve.router.ProxyCore`
+    with in-process legs to :class:`SimWorker` s.
 
-    Mirrors :meth:`repro.serve.router.Router._proxy` — affinity key, chain
-    walk, replay on connection-type failure, suspect feedback pulling a
+    What stays here is the supervisor's job: suspect feedback pulling a
     crashed worker off the ring and arming a capped-backoff restart timer
-    (the supervisor's job in production, a ``SimClock`` timer here). A
-    scripted ``kill`` crashes the process immediately but removes it from
-    the ring only when *noticed* — by a failed dispatch or by the next
-    health tick — preserving the detection window that makes failover
-    scenarios interesting.
+    (a ``SimClock`` timer). A scripted ``kill`` crashes the process
+    immediately but removes it from the ring only when *noticed* — by a
+    failed leg or by the next health tick — preserving the detection
+    window that makes failover scenarios interesting.
     """
 
     def __init__(self, spec: Scenario, clock: SimClock,
                  faults: Optional[FaultInjector], log: EventLog,
                  tracer: Optional[Tracer] = None) -> None:
         self.spec = spec
-        self.clock = clock
-        self.faults = faults
         self.log = log
-        self.tracer = tracer
-        self.ring = HashRing(replicas=spec.replicas)
         self.workers: Dict[str, SimWorker] = {}
+        ring = HashRing(replicas=spec.replicas)
         for index in range(spec.workers):
             worker_id = f"w{index}"
             self.workers[worker_id] = SimWorker(
                 worker_id, spec, clock, faults, log, tracer=tracer
             )
-            self.ring.add(worker_id)
-        self.draining = False
-        self.counters: Dict[str, int] = {}
+            ring.add(worker_id)
+        super().__init__(
+            ring, self.workers, Lifecycle(clock=clock), self._failed_leg,
+            clock=clock, tracer=tracer,
+        )
         self._min_live_probe: Optional[List[int]] = None
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
 
     def live_count(self) -> int:
         return len(self.ring)
 
     def in_flight_total(self) -> int:
         return sum(
-            w.admission.in_flight for w in self.workers.values() if w.state == "up"
+            w.server.admission.in_flight
+            for w in self.workers.values()
+            if w.state == "up"
         )
 
     def occupied_total(self) -> int:
@@ -453,23 +385,18 @@ class SimCluster:
 
     # -- worker lifecycle ----------------------------------------------
     def kill(self, worker_id: str) -> None:
-        worker = self.workers[worker_id]
-        worker.crash()
+        self.workers[worker_id].crash()
         # Detection: the next health tick notices the corpse even if no
         # request trips over it first.
-        self.clock.call_later(
-            self.spec.health_interval, self._health_check, worker_id
-        )
+        self.clock.call_later(self.spec.health_interval, self.suspect, worker_id)
 
-    def _health_check(self, worker_id: str) -> None:
-        worker = self.workers[worker_id]
-        if worker.state == "crashed" and worker_id in self.ring:
-            self._mark_down(worker_id)
+    def _failed_leg(self, worker_id: str) -> None:
+        self.log.emit("failover", self.clock.monotonic(), worker=worker_id)
+        self.suspect(worker_id)
 
     def suspect(self, worker_id: str) -> None:
-        """Router feedback after a failed dispatch (production path)."""
-        worker = self.workers[worker_id]
-        if worker.state == "crashed" and worker_id in self.ring:
+        """Health-tick and failed-leg feedback (the supervisor's path)."""
+        if self.workers[worker_id].state == "crashed" and worker_id in self.ring:
             self._mark_down(worker_id)
 
     def _mark_down(self, worker_id: str) -> None:
@@ -479,6 +406,7 @@ class SimCluster:
             "worker_down", self.clock.monotonic(),
             worker=worker_id, live=self.ring.members(),
         )
+        self._note_live()
         if self.spec.auto_restart:
             worker = self.workers[worker_id]
             backoff = min(
@@ -489,7 +417,7 @@ class SimCluster:
 
     def _restart(self, worker_id: str) -> None:
         worker = self.workers[worker_id]
-        if self.draining or worker.state != "crashed":
+        if self.lifecycle.draining or worker.state != "crashed":
             return
         worker.restart()
         self.ring.add(worker_id)
@@ -506,92 +434,31 @@ class SimCluster:
             self._count("restarts")
 
     def drain(self) -> None:
-        self.draining = True
+        self.lifecycle.draining = True
         self.log.emit(
             "drain_start", self.clock.monotonic(), in_flight=self.in_flight_total()
         )
 
-    # -- dispatch (the router's _proxy, in-process) ---------------------
+    # -- dispatch: the proxy core with in-process legs -----------------
     def dispatch(
         self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    ) -> Response:
         self._count("requests")
         self._note_live()
-        if path == "/healthz":
-            return 200, self.health_payload(), {}
-        if path == "/metrics":
-            return 200, self.merged_metrics(), {}
-        if self.draining:
-            self._count("rejected_draining")
-            return (
-                503,
-                {"error": "draining", "retry_after_s": 1.0,
-                 "message": "cluster is draining"},
-                {"Retry-After": "1"},
-            )
-        ctx = extract_trace_context(headers) if self.tracer is not None else None
-        key = affinity_key(path, headers, body)
-        chain = self.ring.assign_chain(key)
-        for position, worker_id in enumerate(chain):
-            worker = self.workers[worker_id]
-            proxy_span = None
-            forwarded = headers
-            if ctx is not None:
-                # Same shape as Router._proxy: one span per forwarding leg,
-                # replacing the inbound parent with the proxy span's id.
-                proxy_span = self.tracer.start_span(
-                    "router.proxy",
-                    kind="router",
-                    trace_id=ctx[0],
-                    parent_id=ctx[1],
-                    meta={"worker": worker_id, "position": position},
-                )
-                forwarded = dict(headers)
-                forwarded["x-trace-id"] = ctx[0]
-                forwarded["x-span-id"] = proxy_span.span_id
-            try:
-                status, payload, extra = worker.handle(method, path, forwarded, body)
-            except (ConnectionRefusedError, ConnectionResetError) as exc:
-                if proxy_span is not None:
-                    proxy_span.annotate(error=type(exc).__name__).close("failover")
-                self._count("proxy_failovers")
-                self.log.emit(
-                    "failover", self.clock.monotonic(),
-                    worker=worker_id, position=position, error=type(exc).__name__,
-                )
-                self.suspect(worker_id)
-                self._note_live()
-                continue
-            if proxy_span is not None:
-                proxy_span.annotate(status=status).close("ok")
-            self._count("proxied")
-            if position > 0:
-                self._count("proxied_rerouted")
-            extra = dict(extra)
-            extra["X-Worker-Id"] = worker_id
-            return status, payload, extra
-        self._count("rejected_no_backend")
-        self._note_live()
-        return (
-            503,
-            {"error": "no_backend", "retry_after_s": 0.5,
-             "message": "no worker could serve the request"},
-            {"Retry-After": "1"},
-        )
+
+        async def send(
+            worker_id: str, worker: SimWorker, leg_headers: Dict[str, str]
+        ) -> Tuple[int, Dict[str, Any]]:
+            return worker.handle(method, path, leg_headers, body)
+
+        try:
+            return run_inline(self.forward(path, headers, body, send))
+        except HttpError as exc:
+            return exc.response()
 
     def _note_live(self) -> None:
         if self._min_live_probe is not None:
             self._min_live_probe[0] = min(self._min_live_probe[0], len(self.ring))
-
-    def health_payload(self) -> Dict[str, Any]:
-        up = self.ring.members()
-        return {
-            "status": "draining" if self.draining
-            else ("ok" if len(up) == len(self.workers) else "degraded"),
-            "workers_up": len(up),
-            "live": up,
-            "protocol": "repro-serve/1",
-        }
 
     def all_snapshots(self) -> Dict[str, Dict[str, Any]]:
         """Every incarnation's metrics, retired and live (``w0@0``, ``w0``…)."""
@@ -602,15 +469,6 @@ class SimCluster:
             if worker.state == "up":
                 dumps[worker_id] = worker.snapshot()
         return dumps
-
-    def merged_metrics(self) -> Dict[str, Any]:
-        merged = merge_snapshots(self.all_snapshots())
-        merged["cluster"] = {
-            "router": dict(sorted(self.counters.items())),
-            "live_workers": self.ring.members(),
-            "draining": self.draining,
-        }
-        return merged
 
 
 class SimServiceClient(DiffServiceClient):
@@ -663,9 +521,11 @@ class SimServiceClient(DiffServiceClient):
             fault = self._leg_faults.fire("slow_response", target=target)
             if fault is not None:
                 self._sleep(fault.magnitude)
-        self.attempt_log.append(
-            {"status": status, "hint": self._retry_after_hint(decoded, extra)}
-        )
+        self.attempt_log.append({
+            "status": status,
+            "hint": self._retry_after_hint(decoded, extra),
+            "worker": extra.get("X-Worker-Id"),
+        })
         return status, decoded, dict(extra)
 
 
@@ -736,6 +596,17 @@ class _Run:
         self.records: List[RequestRecord] = []
         self.violations: List[str] = []
         self.drained_at: Optional[float] = None
+        self._pairs: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {}
+
+    def pair(self, doc: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """The seeded ``(old, new)`` snapshot pair (wire dicts) for *doc*."""
+        pair = self._pairs.get(doc)
+        if pair is None:
+            rng = derive_rng(self.spec.seed, f"doc:{doc}")
+            old = generate_document(rng.getrandbits(32), SIM_DOCUMENT)
+            new = MutationEngine(rng.getrandbits(32)).mutate(old, SIM_EDITS).tree
+            pair = self._pairs[doc] = (tree_to_dict(old), tree_to_dict(new))
+        return pair
 
     def client(self, name: str) -> SimServiceClient:
         client = self.clients.get(name)
@@ -789,7 +660,7 @@ def run_scenario(spec: Scenario) -> ScenarioResult:
         "faults_fired": len(run.injector.fired) if run.injector else 0,
         "trace": run.tracer.stats() if run.tracer is not None else None,
         "cache": {
-            worker_id: worker.cache.stats()
+            worker_id: worker.server.engine.cache.stats()
             for worker_id, worker in sorted(cluster.workers.items())
         },
         "merged_counters": merge_snapshots(cluster.all_snapshots())["counters"],
@@ -839,12 +710,11 @@ def _run_request(run: _Run, index: int, step: Step) -> None:
     kwargs = step.kwargs
     client = run.client(kwargs.get("client", "c0"))
     path = kwargs.get("path", "/v1/diff")
-    doc = kwargs.get("doc")
-    payload: Dict[str, Any] = {"id": doc, "sim": True}
+    doc = str(kwargs.get("doc"))
+    old, new = run.pair(doc)
+    payload: Dict[str, Any] = {"id": doc, "old": old, "new": new}
     if kwargs.get("deadline_ms") is not None:
         payload["deadline_ms"] = kwargs["deadline_ms"]
-    if kwargs.get("cacheable") is not None:
-        payload["cacheable"] = kwargs["cacheable"]
 
     record = RequestRecord(
         index=index,
@@ -852,7 +722,7 @@ def _run_request(run: _Run, index: int, step: Step) -> None:
         client=client.client_id or "c0",
         path=path,
         doc=doc,
-        draining_at_start=run.cluster.draining,
+        draining_at_start=run.cluster.lifecycle.draining,
     )
     sleeps_before = len(client.sleeps)
     attempts_before = len(client.attempt_log)
@@ -866,7 +736,8 @@ def _run_request(run: _Run, index: int, step: Step) -> None:
         record.attempts = exc.attempts
     else:
         record.status = 200
-        record.worker = decoded.get("worker")
+        record.worker = client.attempt_log[-1].get("worker")
+        record.script = decoded.get("script")
         record.attempts = len(client.attempt_log) - attempts_before
     finally:
         record.trace_id = client.last_trace_id
@@ -907,7 +778,7 @@ def _inv_no_failure_with_replacement(run: _Run) -> List[str]:
             continue
         if record.error_kind not in ("connection", "no_backend", "unreachable"):
             continue  # 4xx/504/draining failures are judged by other invariants
-        if record.live_at_end >= 1 and not run.cluster.draining:
+        if record.live_at_end >= 1 and not run.cluster.lifecycle.draining:
             out.append(
                 f"request {record.index} ({record.doc}): client-visible "
                 f"{record.error_kind} failure with {record.live_at_end} live "
@@ -1042,6 +913,49 @@ def _inv_trace_complete(run: _Run) -> List[str]:
     return out
 
 
+def _canonical(script: EditScript, old: Any, wrapped: bool, dummy_id: Any) -> str:
+    payload = canonicalize_script(script, old, wrapped, dummy_id)
+    return json.dumps([payload["records"], payload["wrapped"]], sort_keys=True)
+
+
+def _inv_script_parity(run: _Run) -> List[str]:
+    """Every 2xx ``/v1/diff`` script is the in-process pipeline's script."""
+    out = []
+    config = ServeConfig()
+    pipeline = DiffPipeline(DiffConfig(
+        algorithm=config.algorithm, match=config.match, postprocess=config.postprocess
+    ))
+    expected: Dict[str, str] = {}
+    for record in run.records:
+        if record.status != 200 or record.path != "/v1/diff":
+            continue
+        old_wire, new_wire = run.pair(record.doc)
+        old = tree_from_dict(old_wire)
+        if record.doc not in expected:
+            result = pipeline.run(old, tree_from_dict(new_wire))
+            expected[record.doc] = _canonical(
+                result.script, old, result.edit.wrapped, result.edit.dummy_t1_id
+            )
+        served = record.script or {}
+        wrapped = bool(served.get("wrapped"))
+        dummy_id = None
+        if wrapped:
+            # The service binds a wrapped script's dummy root to a fresh id.
+            dummy_id = instantiate_script({"records": [], "wrapped": True}, old)[2]
+        try:
+            got = _canonical(
+                EditScript.from_dicts(served.get("records", [])), old, wrapped, dummy_id
+            )
+        except Exception as exc:  # an unreadable script is a parity failure
+            got = f"{type(exc).__name__}: {exc}"
+        if got != expected[record.doc]:
+            out.append(
+                f"request {record.index} ({record.doc}): served script differs "
+                f"from the in-process pipeline's"
+            )
+    return out
+
+
 def _inv_failures_only_while_ring_empty(run: _Run) -> List[str]:
     out = []
     for record in run.records:
@@ -1059,6 +973,7 @@ INVARIANTS: Dict[str, Callable[[_Run], List[str]]] = {
     "drain_integrity": _inv_drain_integrity,
     "metrics_conservation": _inv_metrics_conservation,
     "trace_complete": _inv_trace_complete,
+    "script_parity": _inv_script_parity,
     "convergence": _inv_convergence,
     "failures_only_while_ring_empty": _inv_failures_only_while_ring_empty,
 }

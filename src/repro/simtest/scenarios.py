@@ -10,7 +10,7 @@ The matrix covers the failure modes the serve stack claims to absorb:
 
 ``worker_crash_keepalive``
     The affinity worker is killed *mid-request* (a ``worker_crash`` fault
-    fires inside its service time); the router-equivalent failover replays
+    fires inside its service time); the proxy core's failover replays
     on the ring successor and the client never sees the crash. The worker
     restarts on backoff and later requests succeed.
 ``storm_429``
@@ -70,6 +70,7 @@ def _worker_crash_keepalive(seed: int) -> Scenario:
             "drain_integrity",
             "metrics_conservation",
             "convergence",
+            "script_parity",
         ),
     )
 
@@ -103,6 +104,7 @@ def _storm_429(seed: int) -> Scenario:
             "drain_integrity",
             "metrics_conservation",
             "convergence",
+            "script_parity",
         ),
     )
 
@@ -131,6 +133,7 @@ def _deadline_drain(seed: int) -> Scenario:
             "retry_discipline",
             "drain_integrity",
             "metrics_conservation",
+            "script_parity",
         ),
     )
 
@@ -164,6 +167,7 @@ def _failover_chain(seed: int) -> Scenario:
             "metrics_conservation",
             "convergence",
             "failures_only_while_ring_empty",
+            "script_parity",
         ),
     )
 
@@ -187,6 +191,7 @@ def _cache_corruption(seed: int) -> Scenario:
             "drain_integrity",
             "metrics_conservation",
             "convergence",
+            "script_parity",
         ),
     )
 
@@ -220,6 +225,7 @@ def _clock_jump(seed: int) -> Scenario:
             "drain_integrity",
             "metrics_conservation",
             "convergence",
+            "script_parity",
         ),
     )
 

@@ -3,8 +3,8 @@
 The property tests drive the real simulation harness (repro.simtest) under
 virtual time and check the structural guarantees the tracing design makes:
 every sampled trace is a single-rooted tree and child intervals nest inside
-their parents. Simulated workers never run the pipeline, so their engine
-spans carry no ``stage.*`` children.
+their parents. Simulated workers run the production worker core and the
+real pipeline, so their engine spans carry the ``stage.*`` children.
 """
 
 import json
@@ -220,6 +220,19 @@ class TestAssembly:
                       span("3", "1", "worker", 0.3, 0.6)]
         assert validate_trace(concurrent) == []
 
+    def test_zero_width_stage_tied_on_start_is_no_overlap(self):
+        # The ids are chosen so that ordering by span id puts stage.match
+        # ("3a…") before the zero-width stage.index ("ef…") it follows.
+        spans = [
+            {"trace": "t", "span": "0badcafe", "parent": None, "name": "engine",
+             "kind": "engine", "start": 0.5, "end": 3.0},
+            {"trace": "t", "span": "ef34cb61", "parent": "0badcafe",
+             "name": "stage.index", "kind": "stage", "start": 1.0, "end": 1.0},
+            {"trace": "t", "span": "3a321062", "parent": "0badcafe",
+             "name": "stage.match", "kind": "stage", "start": 1.0, "end": 2.25},
+        ]
+        assert validate_trace(spans) == []
+
     def test_render_span_tree_shows_the_hierarchy(self):
         spans = [
             {"trace": "t1", "span": "1", "parent": None, "name": "root",
@@ -301,9 +314,16 @@ def test_sampled_traces_are_nested_single_rooted_trees(
                 assert kid["start"] >= parent["start"] - _EPS
                 assert kid["end"] <= parent["end"] + _EPS
 
-        # Simulated workers sleep instead of running the pipeline: no
-        # invented stage spans.
-        assert not [span for span in spans if span["kind"] == "stage"]
+        # Simulated workers run the real pipeline: a computed job's engine
+        # span holds the four measured stages (a pair whose edits cancel
+        # out is answered by the digest short-circuit, with no stages).
+        engine = next(span for span in spans if span["name"] == "engine")
+        stages = [span for span in spans if span["kind"] == "stage"]
+        expected = ["stage.index", "stage.match", "stage.postprocess",
+                    "stage.editscript"]
+        computed = engine["meta"]["source"] == "computed"
+        assert [span["name"] for span in stages] == (expected if computed else [])
+        assert all(span["parent"] == engine["span"] for span in stages)
 
 
 @settings(

@@ -20,6 +20,7 @@ from repro.serve.protocol import (
     extract_trace_context,
     inject_trace_headers,
     job_result_to_dict,
+    retry_after_header,
     parse_body,
     parse_request_line,
     parse_status_line,
@@ -87,6 +88,14 @@ class TestFraming:
             "error": "busy", "message": "later",
             "protocol": PROTOCOL, "retry_after_s": 0.25,
         }
+
+    @pytest.mark.parametrize(
+        "seconds, header", [(1.0, "1"), (1.0005, "2"), (0.2, "1")]
+    )
+    def test_retry_after_header_rounds_up_to_whole_seconds(self, seconds, header):
+        assert retry_after_header(seconds) == header
+        error = HttpError(429, "busy", "later", retry_after=seconds)
+        assert error.response()[2] == {"Retry-After": header}
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ import time
 import pytest
 
 from repro import Tree
+from repro.compare.generic import CompareRegistry, default_compare
 from repro.core.errors import ParseError
+from repro.matching.criteria import MatchConfig
 from repro.service import DiffEngine, ScriptCache, ServiceMetrics
+from repro.simtest.clock import SimClock
 from repro.workload import DocumentSpec, MutationEngine, generate_document
 
 
@@ -57,6 +60,28 @@ class TestSingleJobs:
         assert result.old_digest and result.new_digest
         assert result.old_digest != result.new_digest
         assert result.summary["total"] == result.operations
+
+
+    def test_wall_time_is_measured_on_the_metrics_clock(self):
+        # A comparator that charges virtual time: the job's wall time is
+        # exactly what it was charged, and so is the histogram feed.
+        clock = SimClock()
+        step = 0.125
+        compares = []
+
+        def charged_compare(a, b):
+            compares.append(1)
+            clock.advance(step)
+            return default_compare(a, b)
+
+        config = MatchConfig(registry=CompareRegistry(default=charged_compare))
+        with DiffEngine(workers=1, config=config, cache=None,
+                        metrics=ServiceMetrics(clock=clock)) as engine:
+            base = doc()
+            result = engine.diff(base, mutated(base))
+            assert result.ok and compares
+            assert result.wall_ms == pytest.approx(len(compares) * step * 1000.0)
+            assert engine.metrics.wall_ms.mean() == pytest.approx(result.wall_ms)
 
 
 class TestCaching:

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.cli import main
+from repro.serve.protocol import job_result_to_dict
 from repro.simtest import (
     Scenario,
     SCENARIOS,
@@ -100,12 +101,12 @@ def test_deadline_drain_outcomes():
     tight = by_doc["dl-tight"]
     assert tight.failed
     assert tight.error_status == 504
-    assert tight.error_kind == "deadline_exceeded"
+    assert tight.error_kind == "deadline"  # the production 504 body
     for doc in ("dl-post-drain", "dl-post-drain-2"):
         assert by_doc[doc].failed
         assert by_doc[doc].error_kind == "draining"
     merged = result.stats["merged_counters"]
-    assert merged.get("jobs_timed_out", 0) >= 1
+    assert merged.get("deadline_timeouts", 0) >= 1
 
 
 def test_failover_chain_recovers_from_total_loss():
@@ -175,6 +176,29 @@ def test_shrink_leaves_passing_scenarios_alone():
     small, result = shrink_plan(spec)
     assert result.ok
     assert small.plan.describe() == spec.plan.describe()
+
+
+def test_scenarios_check_script_parity():
+    for name in SCENARIOS:
+        assert "script_parity" in build_scenario(name, seed=0).invariants
+
+
+def test_tampered_script_breaks_parity(monkeypatch):
+    import repro.serve.app as app
+
+    def tampered(result, include_script=True):
+        payload = job_result_to_dict(result, include_script=include_script)
+        payload["script"]["records"] = payload["script"]["records"][:-1]
+        return payload
+
+    monkeypatch.setattr(app, "job_result_to_dict", tampered)
+    spec = dataclasses.replace(
+        build_scenario("cache_corruption", seed=0), invariants=("script_parity",)
+    )
+    result = run_scenario(spec)
+    assert not result.ok
+    assert len(result.violations) == len(result.records) == 5
+    assert all("served script differs" in v for v in result.violations)
 
 
 def test_unknown_invariant_is_reported():
